@@ -35,15 +35,9 @@ fn bench_paillier(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("homomorphic_add", bits), &bits, |b, _| {
             b.iter(|| kp.public.add(&ciphertext, &ciphertext))
         });
-        // The multi-round cache's refresh paths: the one-shot r^n form vs the
-        // table-driven RerandCtx form (context construction amortised outside the
-        // iteration, matching the per-federation cache which builds it once).
+        // The oblivious-transfer offer's refresh of the real ciphertext (`c · r^n`).
         group.bench_with_input(BenchmarkId::new("rerandomise", bits), &bits, |b, _| {
             b.iter(|| kp.public.rerandomise(&mut rng, &ciphertext))
-        });
-        let rerand_ctx = kp.public.rerand_ctx(&mut rng);
-        group.bench_with_input(BenchmarkId::new("rerandomise_ctx", bits), &bits, |b, _| {
-            b.iter(|| rerand_ctx.rerandomise(&mut rng, &ciphertext))
         });
     }
     group.finish();

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use uldp_core::{PrivateWeightingProtocol, ProtocolConfig};
+use uldp_core::{PrivateWeightingProtocol, ProtocolConfig, RoundInput};
 
 fn config() -> ProtocolConfig {
     ProtocolConfig { paillier_bits: 384, dh_bits: 128, n_max: 32, ..Default::default() }
@@ -48,7 +48,7 @@ fn bench_weighting_round(c: &mut Criterion) {
         let noises: Vec<Vec<f64>> =
             (0..3).map(|_| (0..params).map(|_| rng.gen_range(-0.01..0.01)).collect()).collect();
         group.bench_with_input(BenchmarkId::from_parameter(params), &params, |b, _| {
-            b.iter(|| protocol.weighting_round(&deltas, &noises, None, &mut rng))
+            b.iter(|| protocol.run_rounds(&[RoundInput::new(&deltas, &noises)], &mut rng))
         });
     }
     group.finish();

@@ -10,10 +10,7 @@
 //! legacy all-users path that encrypts an `Enc(0)` slot for every unsampled user.
 //! Selection, the caller RNG stream and the decrypted aggregates are all
 //! representation-independent, so CI runs this binary twice (sparse, then dense) and
-//! diffs the output; any divergence is a determinism bug in the sparse path. In sparse
-//! mode the binary additionally asserts the cross-round cache materialises per-user
-//! crypto state for at most the sampled users — the lazy-state guarantee that makes
-//! million-user rounds affordable.
+//! diffs the output; any divergence is a determinism bug in the sparse path.
 //!
 //! Every round is also checked against the masked plaintext reference, so the smoke
 //! catches correctness drift as well as nondeterminism. The exit code is non-zero on
@@ -28,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use uldp_bench::millis;
-use uldp_core::{PrivateWeightingProtocol, ProtocolConfig, SampleMask};
+use uldp_core::{PrivateWeightingProtocol, ProtocolConfig, RoundInput, SampleMask};
 use uldp_runtime::Runtime;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -62,8 +59,8 @@ fn main() {
     );
 
     // Everything below is seeded, so the sparse and dense processes must print
-    // identical MRD/AGG lines: the mask representation changes which users get
-    // materialised crypto state, never which users are sampled or what they sum to.
+    // identical MRD/AGG lines: the mask representation changes which users get a
+    // ciphertext, never which users are sampled or what they sum to.
     let mut rng = StdRng::seed_from_u64(0x504f_5055); // "POPU"
     let histogram: Vec<Vec<usize>> = (0..num_silos)
         .map(|_| (0..population).map(|_| rng.gen_range(0..4usize)).collect())
@@ -94,8 +91,9 @@ fn main() {
         let noises: Vec<Vec<f64>> = (0..num_silos)
             .map(|_| (0..dim).map(|_| rng.gen_range(-0.01..0.01)).collect())
             .collect();
-        let (aggregate, timings) =
-            protocol.weighting_round(&deltas, &noises, Some(&mask), &mut rng);
+        let input = RoundInput { sampled: Some(&mask), ..RoundInput::new(&deltas, &noises) };
+        let output = protocol.run_rounds(&[input], &mut rng).remove(0);
+        let (aggregate, timings) = (output.aggregate, output.timings);
 
         let reference = protocol.plaintext_reference(&deltas, &noises, Some(&mask));
         let max_err = aggregate
@@ -116,34 +114,14 @@ fn main() {
             }
         }
         println!("MRD {round} {fp:016x}");
-        let (fresh, rerandomised) = protocol.round_cache_stats();
         println!(
             "pop round={round} sampled={} srv_enc {:9.1} ms | silo_enc {:9.1} ms | \
-             agg {:9.1} ms | fresh {fresh} | rerandomised {rerandomised} | \
-             state {} B in {} entries",
+             agg {:9.1} ms",
             mask.sampled_count(),
             millis(timings.server_encryption),
             millis(timings.silo_weighting),
             millis(timings.aggregation),
-            protocol.cached_state_bytes(),
-            protocol.cached_entry_count(),
         );
-        if !dense {
-            // The lazy-state guarantee: sparse rounds must never materialise crypto
-            // state for unsampled users. Entries accumulate across rounds (departed
-            // users keep theirs for cheap re-entry), so the bound is the union of all
-            // sampled sets so far — ≤ rounds × peak sample, far below the population.
-            assert!(
-                protocol.cached_entry_count() <= round * mask.num_users().min(population),
-                "sparse cache grew past the sampled union"
-            );
-            assert!(
-                protocol.cached_entry_count() <= 2 * rounds * (q * population as f64) as usize + 64,
-                "sparse cache holds {} entries for ~{} sampled per round",
-                protocol.cached_entry_count(),
-                (q * population as f64) as usize
-            );
-        }
         if round == rounds {
             for (j, v) in aggregate.iter().enumerate() {
                 println!("AGG {j} {:016x}", v.to_bits());

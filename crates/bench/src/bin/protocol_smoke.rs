@@ -21,24 +21,22 @@
 //!
 //! A `population_scaling` section (10⁴/10⁵/10⁶ users at q ∈ {0.01, 0.1}, 128-bit
 //! Paillier) proves round cost tracks the *sampled* count q·|U|: per-phase times plus
-//! the materialised per-user crypto state and peak fold bytes are recorded per row,
-//! and the binary asserts the 10⁶-user q=0.01 round stays within 3× of the 10⁵-user
-//! q=0.1 round (equal expected sample sizes). Skipped under `ULDP_DENSE_MASK=1`,
-//! which deliberately forces the O(|U|) dense-mask path.
+//! the peak fold bytes are recorded per row, and the binary asserts the 10⁶-user
+//! q=0.01 round stays within 3× of the 10⁵-user q=0.1 round (equal expected sample
+//! sizes). Skipped under `ULDP_DENSE_MASK=1`, which deliberately forces the O(|U|)
+//! dense-mask path.
 //!
-//! An 8-round replay over the same federation exercises the cross-round ciphertext
-//! cache: round 1 encrypts fresh, rounds 2..8 re-randomise, and each round's decrypted
-//! aggregate is printed as an `MRD <round> <fnv-hex>` fingerprint line (diffable against
-//! an `ULDP_FRESH_ENCRYPT=1` process, whose aggregates must be bitwise-identical). The
-//! per-round `server_encryption` timings land in the `multi_round` report section, and —
-//! unless the cache is bypassed or the generic engine forced — the binary asserts every
-//! cached round is at least 4x cheaper than round 1.
+//! An 8-round replay over the same federation runs once at pipeline depth 0 and once
+//! through the round pipeline; each round's decrypted aggregate is printed as an
+//! `MRD <round> <fnv-hex>` fingerprint line (diffable against an `ULDP_PIPELINE=0`
+//! process, whose aggregates must be bitwise-identical). The depth-0 replay's per-round
+//! `server_encryption` timings land in the `multi_round` report section.
 //!
 //! The exit code is non-zero on any mismatch. Workload knobs: `ULDP_SMOKE_SILOS`,
 //! `ULDP_SMOKE_USERS`, `ULDP_SMOKE_PARAMS`, `ULDP_SMOKE_BITS`, `ULDP_MODPOW_BITS`,
 //! `ULDP_MODPOW_EXPS`. Setting `ULDP_GENERIC_MODPOW=1` forces the schoolbook
-//! exponentiation path everywhere; setting `ULDP_FRESH_ENCRYPT=1` disables ciphertext
-//! reuse. The AGG and MRD lines must not change under either knob (CI diffs them).
+//! exponentiation path everywhere; the AGG and MRD lines must not change under it (CI
+//! diffs them).
 //!
 //! ```bash
 //! cargo run --release -p uldp-bench --bin protocol_smoke
@@ -207,53 +205,21 @@ fn main() {
     Runtime::global().fold_gauge().reset();
 
     // Multi-round replay on the pooled runtime: the same federation runs 8 weighting
-    // rounds back to back, so round 1 pays fresh encryption and rounds 2..8 hit the
-    // cross-round ciphertext cache (or re-encrypt every round under
-    // ULDP_FRESH_ENCRYPT=1 — the MRD fingerprints must not change, CI diffs them).
+    // rounds back to back at pipeline depth 0, each freshly encrypting its inverses.
     let protocol = protocol.with_runtime(Runtime::global());
-    protocol.reset_round_cache();
     let num_rounds = 8usize;
+    let inputs: Vec<RoundInput<'_>> =
+        (0..num_rounds).map(|_| RoundInput::new(&deltas, &noises)).collect();
     let mut mrd_rng = StdRng::seed_from_u64(0x004d_5244); // "MRD"
     let mut multi_round = BenchSection::new("multi_round", threads, paillier_bits);
     let mut mrd_entry =
         BenchEntry::new(format!("silos={num_silos} users={num_users} params={params}"));
-    let mut srv_enc_ms = Vec::with_capacity(num_rounds);
     let mut mrd_fps = Vec::with_capacity(num_rounds);
-    for round in 1..=num_rounds {
-        let (aggregate, timings) = protocol.weighting_round(&deltas, &noises, None, &mut mrd_rng);
-        mrd_fps.push(fnv64(&aggregate));
-        let (fresh, rerandomised) = protocol.round_cache_stats();
-        let ms = millis(timings.server_encryption);
-        println!(
-            "mrd round={round} srv_enc {ms:9.1} ms | fresh {fresh} | rerandomised {rerandomised}"
-        );
-        mrd_entry.phase(&format!("round{round}"), ms);
-        srv_enc_ms.push(ms);
-    }
-    // Acceptance gate: with the cache active every re-randomised round must be at
-    // least 4x cheaper than the fresh round 1. Skipped when the cache is bypassed,
-    // when the generic engine removes the table-based fast path, or when the fresh
-    // round is too small for the ratio to be meaningful.
-    let cache_active =
-        !uldp_core::protocol::fresh_encrypt_forced() && !uldp_bigint::montgomery::engine_disabled();
-    if cache_active && srv_enc_ms[0] >= 5.0 {
-        for (i, &ms) in srv_enc_ms.iter().enumerate().skip(1) {
-            assert!(
-                ms * 4.0 <= srv_enc_ms[0],
-                "round {} server_encryption {ms:.1} ms is not 4x cheaper than round 1 \
-                 ({:.1} ms)",
-                i + 1,
-                srv_enc_ms[0]
-            );
-        }
-        println!(
-            "MULTI_ROUND ok: cached rounds {:.1}..{:.1} ms vs fresh {:.1} ms (>= 4x)",
-            srv_enc_ms[1..].iter().fold(f64::INFINITY, |a, &b| a.min(b)),
-            srv_enc_ms[1..].iter().fold(0.0f64, |a, &b| a.max(b)),
-            srv_enc_ms[0]
-        );
-    } else {
-        println!("MULTI_ROUND gate skipped (cache bypassed, generic engine, or tiny workload)");
+    for (i, output) in protocol.run_rounds_with_depth(&inputs, 0, &mut mrd_rng).iter().enumerate() {
+        mrd_fps.push(fnv64(&output.aggregate));
+        let ms = millis(output.timings.server_encryption);
+        println!("mrd round={} srv_enc {ms:9.1} ms", i + 1);
+        mrd_entry.phase(&format!("round{}", i + 1), ms);
     }
     multi_round.entries.push(mrd_entry);
     match multi_round.write() {
@@ -263,15 +229,12 @@ fn main() {
 
     // Replay B: the same 8 rounds again, this time through `run_rounds` — the round
     // pipeline, at the depth ULDP_PIPELINE / ULDP_PIPELINE_DEPTH resolve to — from an
-    // identically-seeded RNG and a reset cache. The MRD fingerprint lines are printed
-    // from THIS replay, so CI's diff of an ULDP_PIPELINE=0 process against a pipelined
-    // one checks the overlapped rounds bit-for-bit; the in-process assert additionally
-    // pins them to the sequential `weighting_round` loop above.
+    // identically-seeded RNG. The MRD fingerprint lines are printed from THIS replay, so
+    // CI's diff of an ULDP_PIPELINE=0 process against a pipelined one checks the
+    // overlapped rounds bit-for-bit; the in-process assert additionally pins them to the
+    // depth-0 replay above.
     let depth = uldp_runtime::resolve_pipeline_depth(0);
-    protocol.reset_round_cache();
     let mut pipe_rng = StdRng::seed_from_u64(0x004d_5244);
-    let inputs: Vec<RoundInput<'_>> =
-        (0..num_rounds).map(|_| RoundInput::new(&deltas, &noises)).collect();
     let replay_start = Instant::now();
     let outputs = protocol.run_rounds(&inputs, &mut pipe_rng);
     let replay_ms = millis(replay_start.elapsed());
@@ -281,20 +244,20 @@ fn main() {
         assert_eq!(
             fp,
             mrd_fps[i],
-            "pipelined replay (depth {depth}) diverged from the sequential loop at round {}",
+            "pipelined replay (depth {depth}) diverged from the depth-0 replay at round {}",
             i + 1
         );
     }
-    println!("MRD replay: {num_rounds} rounds in {replay_ms:9.1} ms at pipeline depth {depth}");
+    println!("mrd replay: {num_rounds} rounds in {replay_ms:9.1} ms at pipeline depth {depth}");
     Runtime::global().fold_gauge().reset();
 
     // Pipeline gate workload: a dedicated federation small enough that CRT decryption
-    // is a large share of the cached round (few users to fold, many coordinates to
-    // decrypt), so the fold/decrypt overlap of the round pipeline is measurable. The
-    // acceptance gate asserts the 8-round cached replay is >= 1.2x faster pipelined
-    // than sequential — only where the comparison is meaningful: pipeline enabled, a
-    // multi-thread pool on real cores, cache active, and a sequential replay that is
-    // not noise. The `pipeline` section records the comparison either way.
+    // is a large share of the round (few users to fold, many coordinates to decrypt),
+    // so the fold/decrypt overlap of the round pipeline is measurable. The acceptance
+    // gate asserts the 8-round replay is >= 1.2x faster pipelined than sequential —
+    // only where the comparison is meaningful: pipeline enabled, a multi-thread pool on
+    // real cores, and a sequential replay that is not noise. The `pipeline` section
+    // records the comparison either way.
     let gate_silos = 2usize;
     let gate_users = 6usize;
     let gate_params = 32usize;
@@ -352,7 +315,7 @@ fn main() {
         Err(e) => eprintln!("Failed to write pipeline section: {e}"),
     }
     let phys = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if depth >= 1 && threads >= 2 && phys >= 2 && cache_active && gate_cmp.seq_ms >= 100.0 {
+    if depth >= 1 && threads >= 2 && phys >= 2 && gate_cmp.seq_ms >= 100.0 {
         assert!(
             gate_cmp.speedup >= 1.2,
             "pipelined replay speedup {:.2}x at depth {depth}, {threads} threads is below \
@@ -366,10 +329,7 @@ fn main() {
             gate_cmp.speedup
         );
     } else {
-        println!(
-            "PIPELINE gate skipped (pipeline disabled, single-threaded, cache bypassed, \
-             or tiny workload)"
-        );
+        println!("PIPELINE gate skipped (pipeline disabled, single-threaded, or tiny workload)");
     }
     Runtime::global().fold_gauge().reset();
 
@@ -391,18 +351,10 @@ fn main() {
         cmp.fixed_base_ms,
         cmp.fixed_base_speedup(),
     );
-    // 64 ops so the one-off RerandCtx table build is amortised the way the per-
-    // federation cache amortises it over users x rounds.
     let rerand = uldp_bench::modpow::rerand_comparison(modpow_bits / 2, 64, 1_000_037);
     println!(
-        "RERAND bits={} ops={}: encrypt {:9.1} ms | rerandomise {:9.1} ms | \
-         rerandomise_ctx {:9.1} ms ({:.2}x)",
-        rerand.modulus_bits,
-        rerand.num_ops,
-        rerand.encrypt_ms,
-        rerand.rerandomise_ms,
-        rerand.ctx_rerandomise_ms,
-        rerand.ctx_speedup(),
+        "RERAND bits={} ops={}: encrypt {:9.1} ms | rerandomise {:9.1} ms",
+        rerand.modulus_bits, rerand.num_ops, rerand.encrypt_ms, rerand.rerandomise_ms,
     );
     let fused = uldp_bench::modpow::multi_exp_comparison(modpow_bits, 4, 8, 1_000_039);
     println!(
@@ -433,12 +385,11 @@ fn main() {
     // Population scaling: round cost must track the sampled count q·|U|, not the
     // population |U|. Three populations × two sampling rates at a small Paillier
     // modulus — the per-sampled-user crypto is constant across rows, so any
-    // superlinear growth of the per-phase times or of the materialised per-user
-    // state against q·|U| is a scaling regression. Setup (key generation, blinding,
-    // inversion — inherently O(|U|)) is paid once per population and reported as its
-    // own phase. The acceptance gate: the 10⁶-user q=0.01 round (10⁴ expected
-    // sampled) must stay within 3× of the 10⁵-user q=0.1 round (same expected
-    // sample size) on time, state bytes and peak fold bytes.
+    // superlinear growth of the per-phase times or of the fold footprint against q·|U|
+    // is a scaling regression. Setup (key generation, blinding, inversion — inherently
+    // O(|U|)) is paid once per population and reported as its own phase. The acceptance
+    // gate: the 10⁶-user q=0.01 round (10⁴ expected sampled) must stay within 3× of
+    // the 10⁵-user q=0.1 round (same expected sample size) on time and peak fold bytes.
     if uldp_core::sampling::dense_mask_forced() {
         println!("POPULATION section skipped (ULDP_DENSE_MASK forces the O(|U|) path)");
     } else {
@@ -447,8 +398,8 @@ fn main() {
         let pop_silos = 2usize;
         let pop_dim = 2usize;
         let mut pop_section = BenchSection::new("population_scaling", threads, pop_bits);
-        // (population, q) → (round_ms, state_bytes, peak_fold_bytes) for the gate.
-        let mut pop_rows: Vec<(usize, f64, f64, usize, usize)> = Vec::new();
+        // (population, q) → (round_ms, peak_fold_bytes) for the gate.
+        let mut pop_rows: Vec<(usize, f64, f64, usize)> = Vec::new();
         for &population in &[10_000usize, 100_000, 1_000_000] {
             let mut pop_rng = StdRng::seed_from_u64(0x0050_4f50 + population as u64); // "POP"
             let pop_hist: Vec<Vec<usize>> = (0..pop_silos)
@@ -480,29 +431,24 @@ fn main() {
                 let pop_noises: Vec<Vec<f64>> = (0..pop_silos)
                     .map(|_| (0..pop_dim).map(|_| pop_rng.gen_range(-0.01..0.01)).collect())
                     .collect();
-                pop_protocol.reset_round_cache();
                 Runtime::global().fold_gauge().reset();
-                let (pop_agg, pop_timings) = pop_protocol.weighting_round(
-                    &pop_deltas,
-                    &pop_noises,
-                    Some(&mask),
-                    &mut pop_rng,
-                );
-                assert!(pop_agg.iter().all(|v| v.is_finite()));
-                let state_bytes = pop_protocol.cached_state_bytes();
-                let state_entries = pop_protocol.cached_entry_count();
+                let input = RoundInput {
+                    sampled: Some(&mask),
+                    ..RoundInput::new(&pop_deltas, &pop_noises)
+                };
+                let pop_out = pop_protocol.run_rounds(&[input], &mut pop_rng).remove(0);
+                assert!(pop_out.aggregate.iter().all(|v| v.is_finite()));
+                let pop_timings = pop_out.timings;
                 let peak_fold = Runtime::global().fold_gauge().peak();
                 let round_ms = millis(pop_timings.total());
                 println!(
                     "POP users={population} q={q}: sampled {} | srv_enc {:9.1} ms | \
-                     silo_enc {:9.1} ms | agg {:9.1} ms | state {} B in {} entries | \
-                     peak_fold {} B | setup {setup_ms:9.1} ms",
+                     silo_enc {:9.1} ms | agg {:9.1} ms | peak_fold {} B | \
+                     setup {setup_ms:9.1} ms",
                     mask.sampled_count(),
                     millis(pop_timings.server_encryption),
                     millis(pop_timings.silo_weighting),
                     millis(pop_timings.aggregation),
-                    state_bytes,
-                    state_entries,
                     peak_fold,
                 );
                 let mut entry = BenchEntry::new(format!("users={population} q={q}"));
@@ -513,11 +459,9 @@ fn main() {
                     .phase("agg", millis(pop_timings.aggregation))
                     .phase("round", round_ms)
                     .phase("sampled_users", mask.sampled_count() as f64)
-                    .phase("state_bytes", state_bytes as f64)
-                    .phase("state_entries", state_entries as f64)
                     .phase("peak_fold_bytes", peak_fold as f64);
                 pop_section.entries.push(entry);
-                pop_rows.push((population, q, round_ms, state_bytes, peak_fold));
+                pop_rows.push((population, q, round_ms, peak_fold));
             }
         }
         match pop_section.write() {
@@ -526,7 +470,7 @@ fn main() {
         }
         // The sub-linear-cost gate: equal expected sample sizes must cost alike even
         // though the populations differ 10×. Timing is gated only when large enough
-        // to be meaningful; the byte gauges are analytic, so they are gated always.
+        // to be meaningful; the byte gauge is analytic, so it is gated always.
         let small =
             pop_rows.iter().find(|r| r.0 == 100_000 && r.1 == 0.1).expect("10^5 q=0.1 row present");
         let large = pop_rows
@@ -535,15 +479,9 @@ fn main() {
             .expect("10^6 q=0.01 row present");
         assert!(
             large.3 as f64 <= 3.0 * small.3 as f64,
-            "10^6-user q=0.01 state {} B exceeds 3x the 10^5-user q=0.1 state {} B",
+            "10^6-user q=0.01 peak fold {} B exceeds 3x the 10^5-user q=0.1 peak {} B",
             large.3,
             small.3
-        );
-        assert!(
-            large.4 as f64 <= 3.0 * small.4 as f64,
-            "10^6-user q=0.01 peak fold {} B exceeds 3x the 10^5-user q=0.1 peak {} B",
-            large.4,
-            small.4
         );
         if small.2 >= 5.0 {
             assert!(

@@ -30,7 +30,8 @@ pub mod trend;
 
 use rand::rngs::StdRng;
 use uldp_core::{
-    FlConfig, Method, PrivateWeightingProtocol, RoundInput, RoundTimings, Trainer, TrainingHistory,
+    FlConfig, Method, PrivateWeightingProtocol, RoundInput, RoundOutput, RoundTimings, Trainer,
+    TrainingHistory,
 };
 use uldp_datasets::FederatedDataset;
 use uldp_ml::Model;
@@ -181,27 +182,23 @@ pub fn pooled_vs_sequential_round(
     noises: &[Vec<f64>],
     rng: &mut StdRng,
 ) -> (PrivateWeightingProtocol, RoundComparison) {
-    // Warm-up round on a cloned RNG, output and cache discarded: the first round over
-    // a fresh protocol pays one-time lazy initialisation (CRT decryption contexts,
-    // re-randomisation tables, allocator growth) that belongs to neither side of the
-    // threads comparison — without this the pooled round, which runs first, absorbed
-    // that cost and a 1-thread "pooled" run read as slower than sequential.
-    let mut warm_rng = rng.clone();
-    let _ = protocol.weighting_round(deltas, noises, None, &mut warm_rng);
-    protocol.reset_round_cache();
+    let round = [RoundInput::new(deltas, noises)];
+    // Warm-up round on a cloned RNG, output discarded: the first round over a fresh
+    // protocol pays one-time lazy initialisation (CRT decryption contexts, allocator
+    // growth) that belongs to neither side of the threads comparison — without this the
+    // pooled round, which runs first, absorbed that cost and a 1-thread "pooled" run
+    // read as slower than sequential.
+    let _ = protocol.run_rounds(&round, &mut rng.clone());
     let mut seq_rng = rng.clone();
     protocol.runtime().fold_gauge().reset();
-    let (aggregate, timings) = protocol.weighting_round(deltas, noises, None, rng);
+    let RoundOutput { aggregate, timings, .. } = protocol.run_rounds(&round, rng).remove(0);
     let peak_fold_bytes = protocol.runtime().fold_gauge().peak();
     let protocol = protocol.with_runtime(Runtime::handle(1));
-    // The pooled round populated the cross-round ciphertext cache; drop it so the
-    // sequential replay pays the same full encryption cost and the speedup stays a
-    // pure threads comparison.
-    protocol.reset_round_cache();
-    let (seq_aggregate, seq_timings) = protocol.weighting_round(deltas, noises, None, &mut seq_rng);
+    let seq = protocol.run_rounds(&round, &mut seq_rng).remove(0);
+    let seq_timings = seq.timings;
     assert_eq!(
         aggregate.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        seq_aggregate.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        seq.aggregate.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         "pooled and sequential aggregates must be bitwise-identical"
     );
     let speedup = seq_timings.total().as_secs_f64() / timings.total().as_secs_f64().max(1e-12);
@@ -231,21 +228,17 @@ pub struct PipelineComparison {
 /// pipelined at `depth` with `rng`, then sequentially (depth 0) from a pre-replay clone
 /// of `rng` — and asserts the decrypted aggregates are bitwise-identical.
 ///
-/// A full warm-up replay runs first (cloned RNG, output discarded) so both timed
-/// replays execute against a warm cross-round ciphertext cache: the cached replay is
-/// where decryption is a large enough share of the round for overlap to pay, and it is
-/// the regime the `pipeline` bench section gates on. `rng` advances exactly as one
-/// replay would. Shared by `protocol_smoke` and ad-hoc benches so the comparison
-/// harness cannot drift.
+/// A full warm-up replay runs first (cloned RNG, output discarded) so neither timed
+/// replay pays the one-time lazy initialisation. `rng` advances exactly as one replay
+/// would. Shared by `protocol_smoke` and ad-hoc benches so the comparison harness
+/// cannot drift.
 pub fn pipelined_vs_sequential_rounds(
     protocol: &PrivateWeightingProtocol,
     rounds: &[RoundInput<'_>],
     depth: usize,
     rng: &mut StdRng,
 ) -> PipelineComparison {
-    let mut warm_rng = rng.clone();
-    protocol.reset_round_cache();
-    let _ = protocol.run_rounds_with_depth(rounds, 0, &mut warm_rng);
+    let _ = protocol.run_rounds_with_depth(rounds, 0, &mut rng.clone());
     let mut seq_rng = rng.clone();
     let start = std::time::Instant::now();
     let outputs = protocol.run_rounds_with_depth(rounds, depth, rng);
@@ -253,7 +246,7 @@ pub fn pipelined_vs_sequential_rounds(
     let start = std::time::Instant::now();
     let seq_outputs = protocol.run_rounds_with_depth(rounds, 0, &mut seq_rng);
     let seq_ms = millis(start.elapsed());
-    let bits = |outs: &[uldp_core::RoundOutput]| {
+    let bits = |outs: &[RoundOutput]| {
         outs.iter()
             .map(|o| o.aggregate.iter().map(|v| v.to_bits()).collect::<Vec<u64>>())
             .collect::<Vec<_>>()

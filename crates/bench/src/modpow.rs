@@ -6,8 +6,8 @@
 //! (CI fails the smoke job if the section is missing). The three paths must agree
 //! bit for bit; [`modpow_comparison`] asserts it while measuring. Two companion
 //! comparisons cover the other Paillier hot paths: [`rerand_comparison`] (fresh
-//! encryption vs one-shot vs context re-randomisation, the multi-round cache shape)
-//! and [`multi_exp_comparison`] (unfused pow-then-multiply chains vs the interleaved
+//! encryption vs one-shot re-randomisation, the oblivious-transfer offer shape) and
+//! [`multi_exp_comparison`] (unfused pow-then-multiply chains vs the interleaved
 //! `ModulusCtx::multi_exp`, the fused step 2.(b) cell shape).
 
 use crate::millis;
@@ -92,11 +92,9 @@ pub fn modpow_comparison(modulus_bits: usize, num_exps: usize, seed: u64) -> Mod
     ModpowComparison { modulus_bits, exp_bits, num_exps, generic_ms, montgomery_ms, fixed_base_ms }
 }
 
-/// Wall-clock of refreshing one ciphertext `num_ops` times on each available path.
-///
-/// This is the multi-round shape of Protocol 1 step 2.(a): the cross-round cache
-/// replaces a fresh `Enc(m)` per round with a re-randomisation `c · h^t`, so the gap
-/// between `encrypt_ms` and `ctx_rerandomise_ms` is the per-user per-round saving.
+/// Wall-clock of refreshing one ciphertext `num_ops` times, by fresh encryption and by
+/// one-shot re-randomisation (`c · r^n`, the oblivious-transfer offer's real slots).
+/// Both pay one full-width `r^n`, so the two rows should read alike.
 #[derive(Clone, Debug)]
 pub struct RerandComparison {
     /// Bit length of the Paillier plaintext modulus `n` (ciphertexts live mod `n²`).
@@ -107,19 +105,9 @@ pub struct RerandComparison {
     pub encrypt_ms: f64,
     /// One-shot [`PaillierPublicKey::rerandomise`] (`c · r^n`, full-width `r^n`).
     pub rerandomise_ms: f64,
-    /// [`uldp_crypto::paillier::RerandCtx`] path (`c · h^t`, squaring-free table
-    /// lookups), context construction included.
-    pub ctx_rerandomise_ms: f64,
 }
 
-impl RerandComparison {
-    /// Speedup of the context re-randomisation path over fresh encryption.
-    pub fn ctx_speedup(&self) -> f64 {
-        self.encrypt_ms / self.ctx_rerandomise_ms.max(1e-9)
-    }
-}
-
-/// Measures fresh encryption vs one-shot vs context re-randomisation over one key.
+/// Measures fresh encryption vs one-shot re-randomisation over one key.
 ///
 /// The key is a bare `n` of `modulus_bits` random odd bits — encryption and
 /// re-randomisation only need the public-key arithmetic, so no slow prime generation is
@@ -161,15 +149,7 @@ pub fn rerand_comparison(modulus_bits: usize, num_ops: usize, seed: u64) -> Rera
     }
     let rerandomise_ms = millis(start.elapsed());
 
-    // Context construction included: this is the amortised multi-round shape.
-    let start = Instant::now();
-    let ctx = pk.rerand_ctx(&mut rng);
-    for _ in 0..num_ops {
-        let _ = ctx.rerandomise(&mut rng, &c);
-    }
-    let ctx_rerandomise_ms = millis(start.elapsed());
-
-    RerandComparison { modulus_bits, num_ops, encrypt_ms, rerandomise_ms, ctx_rerandomise_ms }
+    RerandComparison { modulus_bits, num_ops, encrypt_ms, rerandomise_ms }
 }
 
 /// Wall-clock of evaluating `num_products` products `Π base_i^exp_i` (k terms each)
@@ -343,10 +323,6 @@ pub fn write_modpow_section(
     oneshot.phase("total", rerand.rerandomise_ms);
     oneshot.speedup_vs_sequential = Some(rerand.encrypt_ms / rerand.rerandomise_ms.max(1e-9));
     section.entries.push(oneshot);
-    let mut ctx_rerand = BenchEntry::new(format!("rerandomise_ctx {rerand_suffix}"));
-    ctx_rerand.phase("total", rerand.ctx_rerandomise_ms);
-    ctx_rerand.speedup_vs_sequential = Some(rerand.ctx_speedup());
-    section.entries.push(ctx_rerand);
 
     let fused_suffix =
         format!("bits={} k={} products={}", fused.modulus_bits, fused.k, fused.num_products);
@@ -390,7 +366,6 @@ mod tests {
         assert_eq!(cmp.modulus_bits, 256);
         assert_eq!(cmp.num_ops, 3);
         assert!(cmp.encrypt_ms >= 0.0 && cmp.rerandomise_ms >= 0.0);
-        assert!(cmp.ctx_rerandomise_ms >= 0.0);
     }
 
     #[test]

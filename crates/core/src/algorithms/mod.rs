@@ -17,8 +17,9 @@ use crate::sampling::SampleMask;
 use crate::weighting::WeightMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use uldp_datasets::FederatedDataset;
-use uldp_ml::Model;
+use uldp_ml::{Model, Sample};
 use uldp_runtime::{seeding, Runtime};
 
 /// Stream tag separating per-task training RNGs from per-silo noise RNGs within a round.
@@ -83,6 +84,23 @@ pub(crate) fn participating_tasks(
                 .map(move |user| (silo_id, user))
         })
         .collect()
+}
+
+/// Each task's records `D_{s,u}`, in dataset order, gathered in one pass over the
+/// dataset. Looking them up per task with [`FederatedDataset::silo_user_records`] scans
+/// every record once per task, and that scan was most of a plaintext round's time.
+pub(crate) fn records_by_task<'a>(
+    dataset: &'a FederatedDataset,
+    tasks: &[(usize, usize)],
+) -> HashMap<(usize, usize), Vec<&'a Sample>> {
+    let mut by_task: HashMap<(usize, usize), Vec<&Sample>> =
+        tasks.iter().map(|&task| (task, Vec::new())).collect();
+    for r in &dataset.records {
+        if let Some(records) = by_task.get_mut(&(r.silo, r.user)) {
+            records.push(&r.sample);
+        }
+    }
+    by_task
 }
 
 /// Applies the aggregated update to the global model:

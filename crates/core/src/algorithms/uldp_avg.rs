@@ -12,7 +12,9 @@
 //! Algorithm 4).
 
 use crate::aggregation::{add_gaussian_noise, sum_deltas};
-use crate::algorithms::{apply_update, noise_rng, participating_tasks, stream, task_rng};
+use crate::algorithms::{
+    apply_update, noise_rng, participating_tasks, records_by_task, stream, task_rng,
+};
 use crate::config::FlConfig;
 use crate::sampling::SampleMask;
 use crate::silo;
@@ -88,6 +90,7 @@ pub fn run_round(
 
     let mut tasks = participating_tasks(dataset, weights, mask);
     tasks.retain(|&(silo_id, _)| !dropped[silo_id]);
+    let task_records = records_by_task(dataset, &tasks);
 
     let mut deltas = stream::stream_silo_deltas(
         rt,
@@ -97,7 +100,7 @@ pub fn run_round(
         config.resolved_chunk_size(),
         dim,
         |silo_id, user| {
-            let records = dataset.silo_user_records(silo_id, user);
+            let records = &task_records[&(silo_id, user)];
             if records.is_empty() {
                 return None;
             }
@@ -108,7 +111,7 @@ pub fn run_round(
             let mut delta = silo::local_train(
                 scratch.as_mut(),
                 &global,
-                &records,
+                records,
                 config.local_epochs,
                 config.local_lr,
                 records.len().max(1),

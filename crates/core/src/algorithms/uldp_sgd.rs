@@ -6,7 +6,7 @@
 //! relationship as FedSGD vs FedAVG), which Figures 4–7 confirm.
 
 use crate::aggregation::{add_gaussian_noise, sum_deltas};
-use crate::algorithms::{apply_update, noise_rng, participating_tasks, stream};
+use crate::algorithms::{apply_update, noise_rng, participating_tasks, records_by_task, stream};
 use crate::config::FlConfig;
 use crate::sampling::SampleMask;
 use crate::silo;
@@ -66,6 +66,7 @@ pub fn run_round(
 
     let mut tasks = participating_tasks(dataset, weights, mask);
     tasks.retain(|&(silo_id, _)| !dropped[silo_id]);
+    let task_records = records_by_task(dataset, &tasks);
 
     let mut gradients = stream::stream_silo_deltas(
         rt,
@@ -75,12 +76,12 @@ pub fn run_round(
         config.resolved_chunk_size(),
         dim,
         |silo_id, user| {
-            let records = dataset.silo_user_records(silo_id, user);
+            let records = &task_records[&(silo_id, user)];
             if records.is_empty() {
                 return None;
             }
             let mut scratch = template.clone_model();
-            let mut grad = silo::local_gradient(scratch.as_mut(), &global, &records);
+            let mut grad = silo::local_gradient(scratch.as_mut(), &global, records);
             if byzantine[silo_id] {
                 plan.corrupt_delta(&mut grad, round_seed, dataset.num_users, silo_id, user);
                 if uldp_telemetry::enabled() {

@@ -101,13 +101,6 @@ pub struct FlConfig {
     pub batch_size: usize,
     /// User-level Poisson sub-sampling probability `q` (1.0 disables sub-sampling).
     pub user_sampling: f64,
-    /// Redraw the user-sampling mask every this many rounds (default 1: a fresh mask
-    /// per round, the paper's setting). Larger values hold each drawn mask for
-    /// `resample_every` consecutive rounds, which keeps Protocol 1's cross-round
-    /// ciphertext cache hot between redraws — the accountant still composes one
-    /// sub-sampled step per round, a conservative bound for correlated participation.
-    /// Ignored when `user_sampling = 1.0` (there is no mask to hold).
-    pub resample_every: u64,
     /// Privacy parameter δ (paper default: 1e-5).
     pub delta: f64,
     /// Evaluate utility every this many rounds (ε is tracked every round regardless).
@@ -158,7 +151,6 @@ impl Default for FlConfig {
             local_epochs: 2,
             batch_size: 32,
             user_sampling: 1.0,
-            resample_every: 1,
             delta: 1e-5,
             eval_every: 1,
             seed: 42,
@@ -230,7 +222,6 @@ impl FlConfig {
             self.user_sampling > 0.0 && self.user_sampling <= 1.0,
             "user sampling probability must be in (0, 1]"
         );
-        assert!(self.resample_every > 0, "resample_every must be at least 1");
         assert!(self.delta > 0.0 && self.delta < 1.0, "delta must be in (0, 1)");
         assert!(self.eval_every > 0, "eval_every must be positive");
         self.fault_plan.validate();
@@ -310,13 +301,6 @@ mod tests {
     #[should_panic(expected = "user sampling probability")]
     fn invalid_sampling_rejected() {
         let cfg = FlConfig { user_sampling: 0.0, ..Default::default() };
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "resample_every")]
-    fn invalid_resample_every_rejected() {
-        let cfg = FlConfig { resample_every: 0, ..Default::default() };
         cfg.validate();
     }
 

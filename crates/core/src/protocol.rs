@@ -46,35 +46,30 @@
 //! encrypted inverse out of the (silo, coordinate) cell loop, and step 2.(c) decrypts by
 //! CRT over cached `p²`/`q²` contexts. `ULDP_GENERIC_MODPOW=1` forces the schoolbook
 //! square-and-multiply path instead; both paths produce bit-identical ciphertexts and
-//! aggregates (CI diffs them).
+//! aggregates (CI diffs them). Bases too lightly used for a fixed-base table fuse their
+//! cell terms into one interleaved multi-exponentiation (`ModulusCtx::multi_exp`).
 //!
-//! ## Multi-round ciphertext reuse
+//! ## No state across rounds
 //!
-//! Across rounds the server's step 2.(a) plaintexts — the blinded inverses — do not
-//! change unless the sampling mask does, so a per-federation `RoundCryptoCache` holds
-//! the encrypted inverses: round 1 encrypts and populates it; later rounds under an
-//! unchanged mask *re-randomise* the cached ciphertexts (`c · h^t` for a fresh `t`, one
-//! squaring-free fixed-base lookup per user) instead of paying a full Paillier
-//! encryption each. Mask flips, silo dropouts and `ULDP_FRESH_ENCRYPT=1` (or
-//! [`ProtocolConfig::fresh_encrypt`]) invalidate exactly the affected users' entries.
-//! Step 2.(b)'s fixed-base tables anchor to the round-1 base ciphertexts
-//! (`current^k = base_table[k] · h_table[rand_exp · k]`), so they too are reused across
-//! rounds; bases too lightly used for a table fuse their cell terms into one
-//! interleaved multi-exponentiation (`ModulusCtx::multi_exp`). Every step is exact
-//! group arithmetic, so decrypted aggregates stay bitwise-identical to the
-//! fresh-encryption path at every `(threads, shards, chunk)` point — CI diffs a cached
-//! against a `ULDP_FRESH_ENCRYPT=1` smoke run to pin this.
+//! Every round freshly encrypts its blinded inverses; nothing but the setup survives
+//! from one round to the next. An earlier revision cached the round-1 ciphertexts and
+//! re-randomised them (`c · h^t`) in later rounds. That made each later cell term cost
+//! two exponentiations (a base-table power plus an `h^(t·k)` power with a
+//! `2·|n| + 64`-bit exponent), which was more than re-encrypting and rebuilding the
+//! tables: on a 6-silo, 20-user, 1024-bit federation (`perfbench` `secure_dense`, 2
+//! threads on a 2-vCPU VM) a round took 2.1–3.2 s fresh against 4.5–5.8 s cached, at
+//! a lower peak RSS. Without cross-round state a round's output depends only on its
+//! input and the caller's RNG, so any round can be replayed alone and the pipeline
+//! never has to drain.
 //!
 //! ## Population scaling
 //!
 //! Round cost tracks the *sampled* users, not the population. A round's user-level
 //! Poisson sample arrives as a [`SampleMask`] — dense flags or sorted sampled indices
-//! ([`crate::sampling`]). With a sparse mask, step 2.(a) encrypts (or re-randomises)
-//! only the sampled users' inverses, the cross-round cache holds entries only for users
-//! that have actually been sampled (a `BTreeMap` keyed by user id, not an `O(|U|)` slot
-//! vector), and the step 2.(b) cell fold walks per-silo participant lists built from
-//! the round's active users instead of scanning `0..|U|` per cell — so unsampled users
-//! cost no ciphertext, no fixed-base table and no fold work. Omitting an unsampled
+//! ([`crate::sampling`]). With a sparse mask, step 2.(a) encrypts only the sampled
+//! users' inverses and the step 2.(b) cell fold walks per-silo participant lists built
+//! from the round's active users instead of scanning `0..|U|` per cell — so unsampled
+//! users cost no ciphertext, no fixed-base table and no fold work. Omitting an unsampled
 //! user's `Enc(0)` term subtracts exactly zero from every decrypted total, so sparse
 //! and dense masks produce bitwise-identical aggregates at every `(threads, shards,
 //! chunk)` point; `ULDP_DENSE_MASK=1` forces the dense representation everywhere so CI
@@ -86,8 +81,7 @@ use crate::scenario::FaultPlan;
 use crate::weighting::WeightMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 use uldp_bigint::modular::{mod_inv, mod_mul, mod_pow};
 use uldp_bigint::montgomery::{engine_disabled, FixedBaseCtx};
@@ -95,7 +89,7 @@ use uldp_bigint::BigUint;
 use uldp_crypto::dh::{DhGroup, DhKeyPair};
 use uldp_crypto::masking::MaskSeed;
 use uldp_crypto::oblivious_transfer::OneOutOfP;
-use uldp_crypto::paillier::{Ciphertext, PaillierKeyPair, PaillierPublicKey, RerandCtx};
+use uldp_crypto::paillier::{Ciphertext, PaillierKeyPair, PaillierPublicKey};
 use uldp_crypto::{FixedPointCodec, MultiplicativeBlinder};
 use uldp_runtime::{seeding, CloseOnDrop, Handoff, Runtime};
 use uldp_telemetry::{metrics, trace};
@@ -127,14 +121,9 @@ pub struct ProtocolConfig {
     pub chunk_size: usize,
     /// Deterministic fault injection for the protocol's rounds ([`crate::scenario`]):
     /// silos dropping or straggling between steps 2.(b) and 2.(c). Only honoured by
-    /// [`PrivateWeightingProtocol::weighting_round_faulted`]; the plain round entry
-    /// points ignore it. The default plan injects nothing.
+    /// rounds whose [`RoundInput::faulted`] is set; other rounds ignore it. The default
+    /// plan injects nothing.
     pub fault_plan: FaultPlan,
-    /// Bypass the cross-round ciphertext cache: every round freshly encrypts all
-    /// blinded inverses (the pre-cache behaviour). `ULDP_FRESH_ENCRYPT=1` forces the
-    /// same bypass process-wide; decrypted aggregates are bitwise-identical either way
-    /// (CI diffs them), only the per-round `server_encryption` cost changes.
-    pub fresh_encrypt: bool,
     /// Depth of the multi-round pipeline driven by
     /// [`PrivateWeightingProtocol::run_rounds`]: how many rounds the fold stage
     /// (steps 2.a–2.b) may run ahead of the decrypt stage (step 2.c). `0` reads
@@ -151,107 +140,21 @@ pub struct ProtocolConfig {
 /// keep the pool balanced even for small `silos × dim` grids.
 const DEFAULT_PROTOCOL_CHUNK: usize = 4;
 
-/// Returns `true` when `ULDP_FRESH_ENCRYPT` forces every round to freshly encrypt the
-/// blinded inverses instead of re-randomising cached ciphertexts. Read once per process;
-/// accepts `1` / `true`.
-pub fn fresh_encrypt_forced() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("ULDP_FRESH_ENCRYPT")
-            .map(|v| matches!(v.trim(), "1" | "true" | "TRUE"))
-            .unwrap_or(false)
-    })
-}
-
-/// Reserved derivation index for the re-randomisation context's secret unit `ρ`. The
-/// per-user encryption streams use indices `0..num_users`, so the reserved slot can
-/// never collide with them — and because `ρ` is derived from the round's batch seed,
-/// building the context consumes **no** extra draws from the caller's RNG: the cached
-/// and `ULDP_FRESH_ENCRYPT=1` executions stay stream-aligned round for round.
-const RERAND_SEED_INDEX: u64 = u64::MAX;
-
 /// Mirror of the crypto crate's fixed-base threshold (`FIXED_BASE_MIN_MULS`): below this
 /// many expected exponentiations of one base a table never amortises, and the cell
 /// terms are gathered into one interleaved multi-exponentiation instead.
 const FIXED_BASE_TABLE_MIN_MULS: usize = 8;
 
-/// Headroom (bits) the accumulated re-randomisation exponent may grow beyond the
-/// plaintext-modulus width before the cache re-bases the entry with a fresh encryption.
-/// Exponents compose additively across rounds (≈1 extra bit per doubling of the round
-/// count), so the guard is unreachable in practice; it exists to keep the shifted-table
-/// exponent `rand_exp · scalar` inside the `2·|n| + 64` bits the [`RerandCtx`] table
-/// covers.
-const RERAND_EXP_HEADROOM_BITS: usize = 64;
-
-/// One user's cached encrypted inverse. `base` is the ciphertext the fixed-base table
-/// (if any) is anchored to; `current = base · h^rand_exp mod n²` is what the silos
-/// actually received in the most recent round. Keeping the pair lets step 2.(b) reuse
-/// the round-1 table forever: `current^k = base_table[k] · h_table[rand_exp · k]` —
-/// exact group arithmetic, bitwise-identical to a direct table over `current`.
-struct CacheEntry {
-    /// The sampling decision the entry was encrypted under; a flip invalidates it (the
-    /// plaintext changes between the blinded inverse and zero).
-    keep: bool,
-    /// Ciphertext the fixed-base table is anchored to.
-    base: Ciphertext,
-    /// Most recently distributed re-randomisation of `base`.
-    current: Ciphertext,
-    /// Accumulated re-randomisation exponent: `current = base · h^rand_exp`.
-    rand_exp: BigUint,
-    /// Fixed-base table over `base`, built lazily by step 2.(b) and reused until the
-    /// entry is invalidated.
-    table: Option<Arc<FixedBaseCtx>>,
-}
-
-/// Per-federation cross-round ciphertext cache: round 1 encrypts every blinded inverse
-/// and populates the entries; later rounds with an unchanged sampling mask re-randomise
-/// the cached ciphertexts in one pooled batch (`c · h^t`, one squaring-free fixed-base
-/// `pow` per user) instead of paying a full Paillier encryption each. Mask changes,
-/// silo dropouts and [`ProtocolConfig::fresh_encrypt`] / `ULDP_FRESH_ENCRYPT=1`
-/// invalidate only the affected users' entries, so multi-round cost is
-/// `encrypt + (R − 1) · rerandomise` while the decrypted aggregates stay
-/// bitwise-identical to the fresh-encryption path.
-struct RoundCryptoCache {
-    /// Shared re-randomisation context (`h = ρ^n mod n²` plus its wide fixed-base
-    /// table), derived once per federation from the first round's reserved seed slot.
-    rerand: Option<Arc<RerandCtx>>,
-    /// Per-user entries keyed by user id, created lazily the first round a user is
-    /// active and removed on invalidation. Sparse sampled rounds therefore hold
-    /// `O(q·|U|)`-many entries — an unsampled user never allocates cache state.
-    entries: BTreeMap<u32, CacheEntry>,
-    /// Users freshly encrypted by the most recent round's step 2.(a).
-    last_fresh: usize,
-    /// Users re-randomised from cache by the most recent round's step 2.(a).
-    last_rerandomised: usize,
-}
-
-/// Read-only snapshot of one user's cache entry, taken during step 2.(a) so the
-/// streaming fold of step 2.(b) never touches the cache mutex.
-struct CachedUserState {
-    base: Ciphertext,
-    table: Option<Arc<FixedBaseCtx>>,
-    rand_exp: BigUint,
-}
-
-/// Snapshot of the whole cache for one round (only present on the cached path).
-struct CachedRoundState {
-    users: Vec<CachedUserState>,
-    rerand: Arc<RerandCtx>,
-}
-
 /// How step 2.(b) evaluates `inverse^scalar` for one participating user this round.
-enum InverseEval {
+enum InverseEval<'a> {
     /// Schoolbook square-and-multiply (the `ULDP_GENERIC_MODPOW=1` path).
-    Generic { base: BigUint },
+    Generic(&'a BigUint),
     /// Too few uses for a table: the cell's terms are gathered and fused into one
     /// interleaved (Shamir-trick) multi-exponentiation over the cached `n²` context —
     /// the shared squaring ladder replaces one ladder per term.
-    Fused { base: BigUint },
-    /// Fixed-base table directly over the distributed ciphertext.
-    Table(Arc<FixedBaseCtx>),
-    /// Cached entry whose table is anchored to the round-1 `base`:
-    /// `current^k = base_table[k] · h_table[rand_exp · k]`.
-    Shifted { base_table: Arc<FixedBaseCtx>, rand_exp: BigUint, rerand: Arc<RerandCtx> },
+    Fused(&'a BigUint),
+    /// Fixed-base table over the distributed ciphertext.
+    Table(FixedBaseCtx),
 }
 
 impl Default for ProtocolConfig {
@@ -265,7 +168,6 @@ impl Default for ProtocolConfig {
             threads: 0,
             chunk_size: 0,
             fault_plan: FaultPlan::none(),
-            fresh_encrypt: false,
             pipeline_depth: 0,
         }
     }
@@ -286,7 +188,6 @@ impl ProtocolConfig {
             threads: 0,
             chunk_size: 0,
             fault_plan: FaultPlan::none(),
-            fresh_encrypt: false,
             pipeline_depth: 0,
         }
     }
@@ -330,21 +231,30 @@ impl RoundTimings {
     }
 }
 
-/// One round's inputs for [`PrivateWeightingProtocol::run_rounds`]: the arguments the
-/// per-round entry points take, bundled so a replay can be described up front and
-/// driven through the pipeline.
+/// One round's inputs for [`PrivateWeightingProtocol::run_rounds`], bundled so a replay
+/// can be described up front and driven through the pipeline.
 pub struct RoundInput<'a> {
-    /// `clipped_deltas[s][u]` — silo `s`'s clipped model delta for user `u` (empty when
-    /// the user has no records in the silo).
+    /// `clipped_deltas[s][u]` — silo `s`'s clipped model delta `Δ̃_{s,u}` for user `u`,
+    /// *before* weighting (empty when the user has no records in the silo).
     pub clipped_deltas: &'a [Vec<Vec<f64>>],
-    /// `noises[s]` — the Gaussian noise vector silo `s` adds.
+    /// `noises[s]` — the Gaussian noise vector `z_s` silo `s` adds.
     pub noises: &'a [Vec<f64>],
-    /// Optional user-level sub-sampling mask.
+    /// Optional user-level sub-sampling mask. Under a dense mask, unsampled users'
+    /// inverses are encrypted as zero (step 2.a), so their deltas drop out exactly;
+    /// under a sparse mask they are skipped outright — no ciphertext, no fold work —
+    /// which yields the same aggregate bit for bit (an `Enc(0)` term adds exactly zero
+    /// to every decrypted total).
     pub sampled: Option<&'a SampleMask>,
     /// `Some(round)` runs the round under the configured [`ProtocolConfig::fault_plan`],
-    /// drawing round `round`'s fault set. Rounds whose draw drops a silo drain the
-    /// pipeline and run sequentially (cache invalidation must stay ordered); `None`
-    /// ignores the plan entirely, like [`PrivateWeightingProtocol::weighting_round`].
+    /// drawing round `round`'s fault set; `None` ignores the plan entirely.
+    ///
+    /// Silos the plan drops leave **between steps 2.(b) and 2.(c)** — after the server
+    /// ships the encrypted inverses, before the silo reports aggregate. Their cells
+    /// (deltas *and* noise) are excluded from the homomorphic fold — the pairwise masks
+    /// cancel inside each per-coordinate sum over the silos that did contribute, so no
+    /// mask recovery is needed — and the decrypted aggregate is re-weighted by
+    /// `|S| / |S_surviving|`. Straggling silos add [`FaultPlan::delay_ms`] each to the
+    /// round's `silo_weighting` timing without touching the result.
     pub faulted: Option<u64>,
 }
 
@@ -355,8 +265,8 @@ impl<'a> RoundInput<'a> {
     }
 }
 
-/// One round's outputs from [`PrivateWeightingProtocol::run_rounds`] — exactly what the
-/// matching sequential entry point returns, bit for bit.
+/// One round's outputs from [`PrivateWeightingProtocol::run_rounds`], bit for bit the
+/// same at every pipeline depth.
 pub struct RoundOutput {
     /// The decoded aggregate `Σ_s (Σ_u w_{s,u} Δ̃_{s,u} + z_s)` (re-weighted by
     /// `|S| / |S_surviving|` on faulted rounds).
@@ -368,15 +278,13 @@ pub struct RoundOutput {
     pub timings: RoundTimings,
 }
 
-/// What the pipeline's fold stage hands the decrypt stage for one round: the folded
-/// per-coordinate totals plus everything needed to finish the round without touching
-/// shared mutable state.
-struct DecryptJob {
+/// What [`PrivateWeightingProtocol::stage_round`] hands
+/// [`PrivateWeightingProtocol::finish_round`]: the folded per-coordinate totals plus
+/// everything needed to finish the round without touching shared state.
+struct StagedRound {
     totals: Vec<Ciphertext>,
     server_encryption: Duration,
     silo_weighting: Duration,
-    /// `|S| / |S_surviving|` (always 1.0 for pipelined rounds — dropouts drain).
-    reweight: f64,
     dropped: Option<Vec<bool>>,
 }
 
@@ -459,13 +367,8 @@ pub struct PrivateWeightingProtocol {
     /// Resolved cells-per-chunk of the streaming cell fold
     /// ([`ProtocolConfig::chunk_size`] / `ULDP_CHUNK` / default).
     chunk_size: usize,
-    /// Fault plan for [`PrivateWeightingProtocol::weighting_round_faulted`].
+    /// Fault plan for rounds whose [`RoundInput::faulted`] is set.
     fault_plan: FaultPlan,
-    /// Cross-round ciphertext cache for step 2.(a) (see [`RoundCryptoCache`]).
-    cache: Mutex<RoundCryptoCache>,
-    /// Bypass the cache ([`ProtocolConfig::fresh_encrypt`] or `ULDP_FRESH_ENCRYPT=1`):
-    /// every round freshly encrypts all blinded inverses.
-    fresh_encrypt: bool,
     /// Resolved multi-round pipeline depth ([`ProtocolConfig::pipeline_depth`] /
     /// `ULDP_PIPELINE_DEPTH` / `ULDP_PIPELINE`); `0` means sequential.
     pipeline_depth: usize,
@@ -584,13 +487,6 @@ impl PrivateWeightingProtocol {
             runtime,
             chunk_size: uldp_runtime::resolve_chunk_size(config.chunk_size, DEFAULT_PROTOCOL_CHUNK),
             fault_plan: config.fault_plan,
-            cache: Mutex::new(RoundCryptoCache {
-                rerand: None,
-                entries: BTreeMap::new(),
-                last_fresh: 0,
-                last_rerandomised: 0,
-            }),
-            fresh_encrypt: config.fresh_encrypt || fresh_encrypt_forced(),
             pipeline_depth: uldp_runtime::resolve_pipeline_depth(config.pipeline_depth),
         }
     }
@@ -643,49 +539,15 @@ impl PrivateWeightingProtocol {
         WeightMatrix::from_histogram(WeightingStrategy::RecordProportional, &histogram)
     }
 
-    /// `(fresh, rerandomised)` user counts of the most recent round's step 2.(a): how
-    /// many encrypted inverses were freshly Paillier-encrypted vs re-randomised from
-    /// the cross-round cache. Bypass mode always reports `(num_users, 0)`.
-    pub fn round_cache_stats(&self) -> (usize, usize) {
-        let cache = self.cache.lock().expect("cache mutex poisoned");
-        (cache.last_fresh, cache.last_rerandomised)
-    }
-
-    /// Number of users currently holding a cross-round cache entry. Dense rounds
-    /// materialise one entry per user; sparse sampled rounds only ever materialise
-    /// entries for users that have been active in some round.
-    pub fn cached_entry_count(&self) -> usize {
-        let cache = self.cache.lock().expect("cache mutex poisoned");
-        cache.entries.len()
-    }
-
-    /// Estimated resident bytes of the cross-round per-user crypto state: two
-    /// ciphertexts and one accumulated exponent per entry, plus any fixed-base tables.
-    /// With a sparse [`SampleMask`] this tracks `O(q·|U|)` instead of `O(|U|)` — the
-    /// population-scaling benchmarks report it alongside the fold gauge.
+    /// Always 0: rounds keep no per-user crypto state between them. Kept only because
+    /// the `perfbench/` harness reports it as `protocol.cache.state_bytes`.
     pub fn cached_state_bytes(&self) -> usize {
-        let cache = self.cache.lock().expect("cache mutex poisoned");
-        let ct_bytes = self.paillier.public.n_squared.bit_length().div_ceil(64) * 8;
-        let n_bytes = self.paillier.public.n.bit_length().div_ceil(64) * 8;
-        let table_bytes = FixedBaseCtx::estimated_table_bytes(
-            self.paillier.public.n_squared.bit_length(),
-            self.paillier.public.n.bit_length(),
-        );
-        cache
-            .entries
-            .values()
-            .map(|e| 2 * ct_bytes + n_bytes + if e.table.is_some() { table_bytes } else { 0 })
-            .sum()
+        0
     }
 
-    /// Drops every cached ciphertext (and the re-randomisation context), so the next
-    /// round freshly encrypts all inverses — used by benchmarks that run several rounds
-    /// of the same setup and need each to pay the full encryption cost.
-    pub fn reset_round_cache(&self) {
-        let mut cache = self.cache.lock().expect("cache mutex poisoned");
-        cache.rerand = None;
-        cache.entries.clear();
-    }
+    /// Does nothing: rounds keep no state between them, so there is nothing to reset.
+    /// Kept only because the `perfbench/` harness calls it between timed regions.
+    pub fn reset_round_cache(&self) {}
 
     /// The round's *active* users — the users whose encrypted inverses are actually
     /// distributed to the silos — as an ascending id list.
@@ -706,298 +568,42 @@ impl PrivateWeightingProtocol {
         }
     }
 
-    /// Step 2.(a): produces the encrypted blinded inverses for one round's active users
-    /// — either freshly encrypting everything (bypass mode, first round, invalidated
-    /// entries) or re-randomising cached ciphertexts in one pooled batch. Returns the
-    /// active user ids with their ciphertexts aligned position for position.
+    /// Step 2.(a): freshly encrypts the blinded inverses of one round's active users.
+    /// Returns the active user ids with their ciphertexts aligned position for position.
     ///
-    /// Exactly one 256-bit batch seed is drawn from the caller's RNG whichever path
-    /// runs, so the cached, fresh-encryption, sparse and dense executions all consume
-    /// identical caller randomness streams and CI can diff their aggregates process
-    /// against process. Per-user work is seeded from `(seed, user id)` — not the active
-    /// position — so a sparse round derives exactly the per-user streams the dense walk
-    /// would, and the output is bitwise-identical at any thread count.
+    /// Exactly one 256-bit batch seed is drawn from the caller's RNG, so sparse and
+    /// dense masks consume identical caller randomness streams. Per-user randomness is
+    /// seeded from `(seed, user id)` — not the active position — so a sparse round
+    /// derives exactly the per-user streams the dense walk would, and the output is
+    /// bitwise-identical at any thread count.
     fn distribute_inverses<R: Rng + ?Sized>(
         &self,
         sampled: Option<&SampleMask>,
         rng: &mut R,
-    ) -> (Vec<u32>, Vec<Ciphertext>, Option<CachedRoundState>) {
+    ) -> (Vec<u32>, Vec<Ciphertext>) {
         let batch_seed = seeding::wide_seed_from_rng(rng);
         let active = self.active_users(sampled);
-        let keep_of = |u: usize| -> bool {
-            sampled.is_none_or(|m| m.contains(u)) && self.blinded_inverses[u].is_some()
-        };
-        let plaintext = |u: usize| -> BigUint {
-            if keep_of(u) {
-                self.blinded_inverses[u].clone().expect("keep implies a blinded inverse")
-            } else {
-                BigUint::zero()
-            }
-        };
-        if self.fresh_encrypt {
-            let cts: Vec<Ciphertext> = self.runtime.par_map(&active, |_, &u| {
-                let mut rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
-                self.paillier.public.encrypt(&mut rng, &plaintext(u as usize))
-            });
-            let mut cache = self.cache.lock().expect("cache mutex poisoned");
-            cache.last_fresh = active.len();
-            cache.last_rerandomised = 0;
-            return (active, cts, None);
-        }
-        let mut cache = self.cache.lock().expect("cache mutex poisoned");
-        if cache.rerand.is_none() {
-            // The context's secret unit ρ comes from the reserved slot of THIS round's
-            // batch seed: no extra caller draws, no collision with the user streams.
-            let mut ctx_rng =
-                StdRng::from_seed(seeding::index_seed_wide(batch_seed, RERAND_SEED_INDEX));
-            cache.rerand = Some(Arc::new(self.paillier.public.rerand_ctx(&mut ctx_rng)));
-        }
-        let rerand = Arc::clone(cache.rerand.as_ref().expect("context just initialised"));
-        let headroom_bits = self.paillier.public.n.bit_length() + RERAND_EXP_HEADROOM_BITS;
-        let fresh: Vec<bool> = active
-            .iter()
-            .map(|&u| match cache.entries.get(&u) {
-                Some(e) => {
-                    e.keep != keep_of(u as usize) || e.rand_exp.bit_length() >= headroom_bits
-                }
-                None => true,
-            })
-            .collect();
-        // One pooled pass over the active users: fresh entries pay a full Paillier
-        // encryption, cached ones one squaring-free `c · h^t`. The workers only read
-        // the entries through the guard held by this thread.
-        let entries = &cache.entries;
-        let results: Vec<(Ciphertext, Option<BigUint>)> = self.runtime.par_map(&active, |i, &u| {
+        let cts = self.runtime.par_map(&active, |_, &u| {
+            let u = u as usize;
+            let keep = sampled.is_none_or(|m| m.contains(u));
+            let plaintext = match &self.blinded_inverses[u] {
+                Some(inverse) if keep => inverse.clone(),
+                _ => BigUint::zero(),
+            };
             let mut rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
-            if fresh[i] {
-                (self.paillier.public.encrypt(&mut rng, &plaintext(u as usize)), None)
-            } else {
-                let entry = entries.get(&u).expect("non-fresh user has an entry");
-                let (ct, t) = rerand.rerandomise(&mut rng, &entry.current);
-                (ct, Some(t))
-            }
+            self.paillier.public.encrypt(&mut rng, &plaintext)
         });
-        let mut fresh_count = 0usize;
-        let mut rerand_count = 0usize;
-        for (i, (ct, t)) in results.iter().enumerate() {
-            let u = active[i];
-            match t {
-                None => {
-                    fresh_count += 1;
-                    cache.entries.insert(
-                        u,
-                        CacheEntry {
-                            keep: keep_of(u as usize),
-                            base: ct.clone(),
-                            current: ct.clone(),
-                            rand_exp: BigUint::zero(),
-                            table: None,
-                        },
-                    );
-                }
-                Some(t) => {
-                    rerand_count += 1;
-                    let entry = cache.entries.get_mut(&u).expect("non-fresh user has an entry");
-                    entry.current = ct.clone();
-                    entry.rand_exp = entry.rand_exp.add(t);
-                }
-            }
-        }
-        cache.last_fresh = fresh_count;
-        cache.last_rerandomised = rerand_count;
-        let users: Vec<CachedUserState> = active
-            .iter()
-            .map(|u| {
-                let e = cache.entries.get(u).expect("every active user has an entry");
-                CachedUserState {
-                    base: e.base.clone(),
-                    table: e.table.clone(),
-                    rand_exp: e.rand_exp.clone(),
-                }
-            })
-            .collect();
-        drop(cache);
-        let cts: Vec<Ciphertext> = results.into_iter().map(|(ct, _)| ct).collect();
-        (active, cts, Some(CachedRoundState { users, rerand }))
+        (active, cts)
     }
 
-    /// Post-round cache invalidation after silo dropouts: any user with records in a
-    /// dropped silo gets freshly re-encrypted next round. (The server only learns of a
-    /// dropout when the round's reports are collected, so the invalidation necessarily
-    /// lands after the fact; users untouched by the dropped silos keep their entries.)
-    fn invalidate_users_of_dropped(&self, dropped: &[bool]) {
-        let mut cache = self.cache.lock().expect("cache mutex poisoned");
-        cache.entries.retain(|&u, _| {
-            !dropped.iter().enumerate().any(|(s, &d)| d && self.silo_histograms[s][u as usize] > 0)
-        });
-    }
-
-    /// Runs one weighting round (Protocol 1, step 2).
+    /// Runs a multi-round replay (Protocol 1, step 2, once per input) through the round
+    /// pipeline at the protocol's resolved depth ([`ProtocolConfig::pipeline_depth`] /
+    /// `ULDP_PIPELINE_DEPTH`, with the `ULDP_PIPELINE` kill-switch forcing depth 0).
     ///
-    /// * `clipped_deltas[s][u]` — silo `s`'s clipped model delta for user `u`
-    ///   (`Δ̃_{s,u}` *before* weighting; empty when the user has no records in the silo).
-    /// * `noises[s]` — the Gaussian noise vector `z_s` silo `s` adds.
-    /// * `sampled` — optional user-level sub-sampling [`SampleMask`]. Under a dense
-    ///   mask, unsampled users' inverses are encrypted as zero (step 2.a), so their
-    ///   deltas drop out exactly; under a sparse mask they are skipped outright — no
-    ///   ciphertext, no cache entry, no fold work — which yields the same aggregate bit
-    ///   for bit (an `Enc(0)` term adds exactly zero to every decrypted total).
-    ///
-    /// Returns the decoded aggregate `Σ_s (Σ_u w_{s,u} Δ̃_{s,u} + z_s)` plus per-phase
-    /// timings.
-    pub fn weighting_round<R: Rng + ?Sized>(
-        &self,
-        clipped_deltas: &[Vec<Vec<f64>>],
-        noises: &[Vec<f64>],
-        sampled: Option<&SampleMask>,
-        rng: &mut R,
-    ) -> (Vec<f64>, RoundTimings) {
-        assert_eq!(clipped_deltas.len(), self.num_silos, "one delta set per silo required");
-        assert_eq!(noises.len(), self.num_silos, "one noise vector per silo required");
-        let dim = noises[0].len();
-        assert!(dim > 0, "model dimension must be positive");
-
-        // --- Step 2.(a): server encrypts (possibly sub-sampled) blinded inverses, or —
-        // when the cross-round cache holds them under an unchanged mask — re-randomises
-        // the cached ciphertexts in one pooled batch. One 256-bit seed drawn from the
-        // caller's RNG parameterises the whole batch; per-user randomness is derived
-        // from (seed, u), so the output is bitwise-identical at any thread count.
-        let enc_span = trace::timed_span("protocol", "server_encryption");
-        let (active, encrypted_inverses, cached) = self.distribute_inverses(sampled, rng);
-        let server_encryption = enc_span.finish();
-
-        // --- Steps 2.(b)-(c): silo-side encrypted weighting, secure aggregation of
-        // ciphertexts, decryption and decoding. The pairwise additive masks cancel in the
-        // sum exactly as in step 1.(e); the decrypted aggregate is therefore the same with
-        // or without them.
-        let (out, mut timings) = self.weighting_round_with_inverses(
-            clipped_deltas,
-            noises,
-            &active,
-            &encrypted_inverses,
-            dim,
-            None,
-            cached.as_ref(),
-        );
-        timings.server_encryption = server_encryption;
-        (out, timings)
-    }
-
-    /// Runs one weighting round under the configured [`ProtocolConfig::fault_plan`]:
-    /// silos selected by the plan drop out **between steps 2.(b) and 2.(c)** — after the
-    /// server ships the encrypted blinded inverses, before silo reports aggregate — and
-    /// straggling silos inflate the round's `silo_weighting` timing by
-    /// [`FaultPlan::delay_ms`] each without touching the result.
-    ///
-    /// Degradation semantics: a dropped silo's `(silo, coordinate)` cells (deltas *and*
-    /// noise) are excluded from the streaming homomorphic fold — the Paillier path needs
-    /// no mask recovery because the pairwise masks cancel inside each per-coordinate sum
-    /// over the silos that actually contributed — and the decrypted aggregate is
-    /// re-weighted by `|S| / |S_surviving|` so the update keeps its expected scale. The
-    /// result is *exactly* the surviving-silo plaintext reference
-    /// ([`PrivateWeightingProtocol::plaintext_reference_faulted`]) and stays
-    /// bitwise-identical across every `(threads, chunk_size)` setting; at least one silo
-    /// always survives.
-    ///
-    /// `round` tells the plan which round's fault set to draw (faults are re-drawn every
-    /// round). Returns the re-weighted aggregate, the dropout mask in silo order, and
-    /// the per-phase timings.
-    pub fn weighting_round_faulted<R: Rng + ?Sized>(
-        &self,
-        clipped_deltas: &[Vec<Vec<f64>>],
-        noises: &[Vec<f64>],
-        sampled: Option<&SampleMask>,
-        round: u64,
-        rng: &mut R,
-    ) -> (Vec<f64>, Vec<bool>, RoundTimings) {
-        assert_eq!(clipped_deltas.len(), self.num_silos, "one delta set per silo required");
-        assert_eq!(noises.len(), self.num_silos, "one noise vector per silo required");
-        let dim = noises[0].len();
-        assert!(dim > 0, "model dimension must be positive");
-
-        // Step 2.(a) is unchanged: the server encrypts (or re-randomises from cache)
-        // before any silo drops.
-        let enc_span = trace::timed_span("protocol", "server_encryption");
-        let (active, encrypted_inverses, cached) = self.distribute_inverses(sampled, rng);
-        let server_encryption = enc_span.finish();
-
-        let dropped = self.fault_plan.dropped_silos(round, self.num_silos);
-        let delayed = self.fault_plan.delayed_silos(round, self.num_silos);
-        if uldp_telemetry::enabled() {
-            // Structured fault events: one per affected silo, tagged with the round so
-            // traces of multi-round runs stay attributable.
-            for (silo, _) in dropped.iter().enumerate().filter(|(_, &d)| d) {
-                metrics::FAULT_EVENTS.inc();
-                trace::event(
-                    "fault",
-                    "dropout",
-                    vec![("round", round.into()), ("silo", silo.into())],
-                );
-            }
-            for (silo, _) in delayed.iter().enumerate().filter(|(_, &d)| d) {
-                metrics::FAULT_EVENTS.inc();
-                trace::event(
-                    "fault",
-                    "delay",
-                    vec![
-                        ("round", round.into()),
-                        ("silo", silo.into()),
-                        ("delay_ms", self.fault_plan.delay_ms.into()),
-                    ],
-                );
-            }
-        }
-        let (mut out, mut timings) = self.weighting_round_with_inverses(
-            clipped_deltas,
-            noises,
-            &active,
-            &encrypted_inverses,
-            dim,
-            Some(&dropped),
-            cached.as_ref(),
-        );
-        timings.server_encryption = server_encryption;
-
-        // Surviving-silo re-weighting: the decrypted value is the exact sum over the
-        // survivors, scaled up so the server update keeps its |S|-silo magnitude.
-        let surviving = dropped.iter().filter(|&&d| !d).count();
-        debug_assert!(surviving >= 1, "the fault plan must leave at least one silo");
-        let factor = self.num_silos as f64 / surviving as f64;
-        if factor != 1.0 {
-            for o in out.iter_mut() {
-                *o *= factor;
-            }
-        }
-        // Stragglers: each delayed report lands `delay_ms` late. Simulated in the
-        // timings only — no wall-clock sleep, the aggregate is untouched.
-        let delayed_count = delayed.iter().filter(|&&d| d).count() as u64;
-        timings.silo_weighting += Duration::from_millis(self.fault_plan.delay_ms * delayed_count);
-        // A user whose records sit in a dropped silo gets freshly re-encrypted next
-        // round; everyone else keeps their cached ciphertext.
-        self.invalidate_users_of_dropped(&dropped);
-        (out, dropped, timings)
-    }
-
-    /// Runs a multi-round replay through the round pipeline at the protocol's resolved
-    /// depth ([`ProtocolConfig::pipeline_depth`] / `ULDP_PIPELINE_DEPTH`, with the
-    /// `ULDP_PIPELINE` kill-switch forcing the sequential path).
-    ///
-    /// While the server decrypts round `t`'s per-coordinate totals (step 2.c), the pool
-    /// is already folding round `t+1`'s cells — including its `RoundCryptoCache`
-    /// re-randomisation batch (step 2.a). The stages commute because they touch
-    /// disjoint state: the fold writes only ciphertext totals derived from the public
-    /// key, the decrypt reads only already-folded totals with the secret key. Every
-    /// caller-RNG draw happens on the submitting thread in round order (one 256-bit
-    /// seed per round, exactly as the sequential loop draws it), so seed derivation
-    /// never depends on overlap and the outputs are bitwise-identical to
-    /// [`PrivateWeightingProtocol::weighting_round`] run in a loop, at every
-    /// `(threads × shards × chunk × depth)` point.
-    ///
-    /// Rounds whose [`FaultPlan`] drops a silo force a pipeline drain: their dropout
-    /// invalidates cache entries, which must not race a later round's re-randomisation
-    /// batch already in flight, so the pipeline completes all queued decrypts and runs
-    /// the faulted round inline before refilling. Fault-free rounds (including rounds
-    /// with stragglers only) stay overlapped.
+    /// Each output is the decoded aggregate `Σ_s (Σ_u w_{s,u} Δ̃_{s,u} + z_s)` of its
+    /// input (see [`RoundInput`] for sampling and fault semantics) plus per-phase
+    /// timings. Rounds share no state, so every output equals the same round run alone
+    /// from the same caller-RNG state.
     pub fn run_rounds<R: Rng + ?Sized>(
         &self,
         rounds: &[RoundInput<'_>],
@@ -1007,9 +613,17 @@ impl PrivateWeightingProtocol {
     }
 
     /// [`PrivateWeightingProtocol::run_rounds`] at an explicit pipeline depth:
-    /// `0` runs the sequential reference loop, `d ≥ 1` lets the fold stage run up to
+    /// `0` runs the rounds one after another, `d ≥ 1` lets the fold stage run up to
     /// `d` rounds ahead of the decrypt stage. Exposed so tests and benches can compare
     /// depths without touching the process environment.
+    ///
+    /// While the server decrypts round `t`'s per-coordinate totals (step 2.c), the pool
+    /// is already encrypting and folding round `t+1` (steps 2.a–b). The stages commute
+    /// because they touch disjoint state: the fold writes only ciphertext totals derived
+    /// from the public key, the decrypt reads only already-folded totals with the secret
+    /// key. Every caller-RNG draw happens on the submitting thread in round order (one
+    /// 256-bit seed per round), so the outputs are bitwise-identical at every
+    /// `(threads × shards × chunk × depth)` point, dropouts included.
     pub fn run_rounds_with_depth<R: Rng + ?Sized>(
         &self,
         rounds: &[RoundInput<'_>],
@@ -1017,179 +631,129 @@ impl PrivateWeightingProtocol {
         rng: &mut R,
     ) -> Vec<RoundOutput> {
         if depth == 0 || rounds.len() < 2 {
-            return rounds.iter().map(|input| self.run_round_sequential(input, rng)).collect();
+            return rounds
+                .iter()
+                .map(|input| {
+                    let staged = self.stage_round(input, rng);
+                    self.finish_round(staged)
+                })
+                .collect();
         }
-        let mut outputs: Vec<Option<RoundOutput>> = (0..rounds.len()).map(|_| None).collect();
-        // Two bounded queues per replay: `jobs` carries folded totals forward (its
-        // capacity is the pipeline depth — the double buffer), `finished` carries
-        // decrypted rounds back (capacity = replay length, so the decrypt stage
-        // never blocks on the producer). Both deliver strictly in round order.
-        let jobs: Handoff<DecryptJob> = Handoff::new(depth);
-        let finished: Handoff<RoundOutput> = Handoff::new(rounds.len());
+        // `jobs` carries folded totals forward; its capacity is the pipeline depth (the
+        // double buffer) and it delivers strictly in round order.
+        let jobs: Handoff<StagedRound> = Handoff::new(depth);
         std::thread::scope(|scope| {
-            let (jobs, finished) = (&jobs, &finished);
-            scope.spawn(move || {
-                // A panic mid-decrypt must close both queues, or the producer would
-                // block forever against a full `jobs` queue.
-                let _close_finished = CloseOnDrop(finished);
+            let jobs = &jobs;
+            let decrypt_stage = scope.spawn(move || {
+                // A panic mid-decrypt must close the queue, or the producer would block
+                // forever against a full `jobs` queue.
                 let _close_jobs = CloseOnDrop(jobs);
-                while let Some((seq, job)) = jobs.pop() {
-                    let (mut aggregate, aggregation) = self.decrypt_totals(&job.totals);
-                    if job.reweight != 1.0 {
-                        for v in aggregate.iter_mut() {
-                            *v *= job.reweight;
-                        }
-                    }
+                let mut outputs = Vec::with_capacity(rounds.len());
+                while let Some((_, staged)) = jobs.pop() {
+                    outputs.push(self.finish_round(staged));
                     metrics::PIPELINE_INFLIGHT.sub(1);
-                    let out = RoundOutput {
-                        aggregate,
-                        dropped: job.dropped,
-                        timings: RoundTimings {
-                            server_encryption: job.server_encryption,
-                            silo_weighting: job.silo_weighting,
-                            aggregation,
-                        },
-                    };
-                    if !finished.push(seq, out) {
-                        break;
-                    }
                 }
+                outputs
             });
-            let mut submitted = 0usize;
-            let mut collected = 0usize;
-            for (t, input) in rounds.iter().enumerate() {
-                let drains = input.faulted.is_some_and(|round| {
-                    self.fault_plan.dropped_silos(round, self.num_silos).iter().any(|&d| d)
-                });
-                if drains {
-                    // Dropouts invalidate cache entries; draining first keeps the
-                    // invalidation ordered after every in-flight round, exactly as the
-                    // sequential loop orders it.
-                    let wait = trace::span("protocol", "pipeline_wait").arg("drain_at", t);
-                    while collected < submitted {
-                        let (seq, out) =
-                            finished.pop().expect("decrypt stage died with rounds queued");
-                        outputs[seq as usize] = Some(out);
-                        collected += 1;
-                    }
-                    drop(wait);
-                    outputs[t] = Some(self.run_round_sequential(input, rng));
-                    continue;
-                }
-                let job = self.stage_round(input, rng);
-                metrics::PIPELINE_INFLIGHT.add(1);
-                {
+            {
+                // Likewise a panic while staging must release the decrypt stage.
+                let _close_jobs = CloseOnDrop(jobs);
+                for (t, input) in rounds.iter().enumerate() {
+                    let staged = self.stage_round(input, rng);
+                    metrics::PIPELINE_INFLIGHT.add(1);
                     // The producer parks here while all `depth` slots are in flight —
                     // the span makes backpressure visible in traces.
                     let _wait = trace::span("protocol", "pipeline_wait").arg("round", t);
-                    assert!(jobs.push(t as u64, job), "pipeline decrypt stage terminated early");
-                }
-                submitted += 1;
-                while let Some((seq, out)) = finished.try_pop() {
-                    outputs[seq as usize] = Some(out);
-                    collected += 1;
-                }
-            }
-            jobs.close();
-            let wait =
-                trace::span("protocol", "pipeline_wait").arg("final_drain", submitted - collected);
-            while collected < submitted {
-                let (seq, out) = finished.pop().expect("decrypt stage died with rounds queued");
-                outputs[seq as usize] = Some(out);
-                collected += 1;
-            }
-            drop(wait);
-        });
-        outputs.into_iter().map(|out| out.expect("every round decrypted exactly once")).collect()
-    }
-
-    /// One round through the existing sequential entry points, shaped as a
-    /// [`RoundOutput`] — the reference the pipelined path must match bit for bit.
-    fn run_round_sequential<R: Rng + ?Sized>(
-        &self,
-        input: &RoundInput<'_>,
-        rng: &mut R,
-    ) -> RoundOutput {
-        match input.faulted {
-            Some(round) => {
-                let (aggregate, dropped, timings) = self.weighting_round_faulted(
-                    input.clipped_deltas,
-                    input.noises,
-                    input.sampled,
-                    round,
-                    rng,
-                );
-                RoundOutput { aggregate, dropped: Some(dropped), timings }
-            }
-            None => {
-                let (aggregate, timings) =
-                    self.weighting_round(input.clipped_deltas, input.noises, input.sampled, rng);
-                RoundOutput { aggregate, dropped: None, timings }
-            }
-        }
-    }
-
-    /// The producer half of one pipelined round: step 2.(a) (all caller-RNG draws, in
-    /// round order) plus the streaming cell fold of step 2.(b), yielding the decrypt
-    /// job the consumer finishes. Fault handling mirrors
-    /// [`PrivateWeightingProtocol::weighting_round_faulted`] for rounds the pipeline
-    /// does not drain for (stragglers and empty fault draws): the dropout mask is
-    /// all-false, so no cache invalidation is due.
-    fn stage_round<R: Rng + ?Sized>(&self, input: &RoundInput<'_>, rng: &mut R) -> DecryptJob {
-        let clipped_deltas = input.clipped_deltas;
-        let noises = input.noises;
-        assert_eq!(clipped_deltas.len(), self.num_silos, "one delta set per silo required");
-        assert_eq!(noises.len(), self.num_silos, "one noise vector per silo required");
-        let dim = noises[0].len();
-        assert!(dim > 0, "model dimension must be positive");
-
-        let enc_span = trace::timed_span("protocol", "server_encryption");
-        let (active, encrypted_inverses, cached) = self.distribute_inverses(input.sampled, rng);
-        let server_encryption = enc_span.finish();
-
-        let (dropped, reweight, delay) = match input.faulted {
-            None => (None, 1.0, Duration::ZERO),
-            Some(round) => {
-                let dropped = self.fault_plan.dropped_silos(round, self.num_silos);
-                let delayed = self.fault_plan.delayed_silos(round, self.num_silos);
-                debug_assert!(
-                    dropped.iter().all(|&d| !d),
-                    "rounds with dropouts drain the pipeline and run sequentially"
-                );
-                if uldp_telemetry::enabled() {
-                    for (silo, _) in delayed.iter().enumerate().filter(|(_, &d)| d) {
-                        metrics::FAULT_EVENTS.inc();
-                        trace::event(
-                            "fault",
-                            "delay",
-                            vec![
-                                ("round", round.into()),
-                                ("silo", silo.into()),
-                                ("delay_ms", self.fault_plan.delay_ms.into()),
-                            ],
-                        );
+                    if !jobs.push(t as u64, staged) {
+                        break; // the decrypt stage died; joining re-raises its panic
                     }
                 }
-                let delayed_count = delayed.iter().filter(|&&d| d).count() as u64;
-                let delay = Duration::from_millis(self.fault_plan.delay_ms * delayed_count);
-                (Some(dropped), 1.0, delay)
             }
-        };
+            let _wait = trace::span("protocol", "pipeline_wait")
+                .arg("final_drain", depth.min(rounds.len()));
+            decrypt_stage.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
+    }
+
+    /// The first half of one round: step 2.(a) (the round's only caller-RNG draw), the
+    /// fault plan's draw with its dropout and delay events, and the streaming cell fold
+    /// of step 2.(b).
+    fn stage_round<R: Rng + ?Sized>(&self, input: &RoundInput<'_>, rng: &mut R) -> StagedRound {
+        let dim = self.check_round_shape(input.clipped_deltas, input.noises);
+        // The server encrypts the (possibly sub-sampled) blinded inverses before any
+        // silo can drop.
+        let enc_span = trace::timed_span("protocol", "server_encryption");
+        let (active, encrypted_inverses) = self.distribute_inverses(input.sampled, rng);
+        let server_encryption = enc_span.finish();
+
+        let mut delay = Duration::ZERO;
+        let dropped = input.faulted.map(|round| {
+            let dropped = self.fault_plan.dropped_silos(round, self.num_silos);
+            let delayed = self.fault_plan.delayed_silos(round, self.num_silos);
+            if uldp_telemetry::enabled() {
+                // Structured fault events: one per affected silo, tagged with the round
+                // so traces of multi-round runs stay attributable.
+                for silo in (0..self.num_silos).filter(|&s| dropped[s]) {
+                    metrics::FAULT_EVENTS.inc();
+                    trace::event(
+                        "fault",
+                        "dropout",
+                        vec![("round", round.into()), ("silo", silo.into())],
+                    );
+                }
+                for silo in (0..self.num_silos).filter(|&s| delayed[s]) {
+                    metrics::FAULT_EVENTS.inc();
+                    trace::event(
+                        "fault",
+                        "delay",
+                        vec![
+                            ("round", round.into()),
+                            ("silo", silo.into()),
+                            ("delay_ms", self.fault_plan.delay_ms.into()),
+                        ],
+                    );
+                }
+            }
+            // Stragglers: each delayed report lands `delay_ms` late. Simulated in the
+            // timings only — no wall-clock sleep, the aggregate is untouched.
+            let delayed_count = delayed.iter().filter(|&&d| d).count() as u64;
+            delay = Duration::from_millis(self.fault_plan.delay_ms * delayed_count);
+            dropped
+        });
         let (totals, silo_weighting) = self.fold_round_totals(
-            clipped_deltas,
-            noises,
+            input.clipped_deltas,
+            input.noises,
             &active,
             &encrypted_inverses,
             dim,
             dropped.as_deref(),
-            cached.as_ref(),
         );
-        DecryptJob {
-            totals,
-            server_encryption,
-            silo_weighting: silo_weighting + delay,
-            reweight,
-            dropped,
+        StagedRound { totals, server_encryption, silo_weighting: silo_weighting + delay, dropped }
+    }
+
+    /// The second half of one round: step 2.(c) and, after dropouts, the surviving-silo
+    /// re-weighting — the decrypted value is the exact sum over the survivors, scaled by
+    /// `|S| / |S_surviving|` so the server update keeps its |S|-silo magnitude.
+    fn finish_round(&self, staged: StagedRound) -> RoundOutput {
+        let (mut aggregate, aggregation) = self.decrypt_totals(&staged.totals);
+        if let Some(dropped) = &staged.dropped {
+            let surviving = dropped.iter().filter(|&&d| !d).count();
+            debug_assert!(surviving >= 1, "the fault plan must leave at least one silo");
+            let factor = self.num_silos as f64 / surviving as f64;
+            if factor != 1.0 {
+                for v in aggregate.iter_mut() {
+                    *v *= factor;
+                }
+            }
+        }
+        RoundOutput {
+            aggregate,
+            dropped: staged.dropped,
+            timings: RoundTimings {
+                server_encryption: staged.server_encryption,
+                silo_weighting: staged.silo_weighting,
+                aggregation,
+            },
         }
     }
 
@@ -1202,8 +766,8 @@ impl PrivateWeightingProtocol {
     /// learns whether a user was sampled (it cannot see the OT choice) and the silos never
     /// learn it either (a dummy is indistinguishable from a real Paillier ciphertext), so
     /// the participation probability is exactly `numerator / denominator` but the outcome
-    /// stays hidden — unlike [`PrivateWeightingProtocol::weighting_round`], where the mask
-    /// is chosen by the server in the clear.
+    /// stays hidden — unlike a [`RoundInput::sampled`] mask, which the server chooses in
+    /// the clear.
     ///
     /// Returns the decoded aggregate, the realised selection flags (**for validation and
     /// accounting tests only** — in a deployment no party may observe them), and the
@@ -1215,10 +779,7 @@ impl PrivateWeightingProtocol {
         sampling: &ObliviousSubsampling,
         rng: &mut R,
     ) -> (Vec<f64>, Vec<bool>, RoundTimings) {
-        assert_eq!(clipped_deltas.len(), self.num_silos, "one delta set per silo required");
-        assert_eq!(noises.len(), self.num_silos, "one noise vector per silo required");
-        let dim = noises[0].len();
-        assert!(dim > 0, "model dimension must be positive");
+        let dim = self.check_round_shape(clipped_deltas, noises);
 
         // Server side: build the OT offers (step 2.a extended with dummies). Every user's
         // offer and transfer draw from an RNG derived from a 256-bit (seed, u) stream, so
@@ -1246,48 +807,27 @@ impl PrivateWeightingProtocol {
         // ciphertexts in place of the server-published inverses. Every user gets an OT
         // offer (the whole point is hiding who was sampled), so all users are active.
         let active: Vec<u32> = (0..self.num_users as u32).collect();
-        let (out, mut timings) = self.weighting_round_with_inverses(
-            clipped_deltas,
-            noises,
-            &active,
-            &chosen,
-            dim,
-            None,
-            None,
-        );
-        timings.server_encryption = server_encryption;
-        (out, selected_flags, timings)
+        let (totals, silo_weighting) =
+            self.fold_round_totals(clipped_deltas, noises, &active, &chosen, dim, None);
+        let (out, aggregation) = self.decrypt_totals(&totals);
+        (out, selected_flags, RoundTimings { server_encryption, silo_weighting, aggregation })
     }
 
-    /// Shared silo-side + aggregation logic of steps 2.(b)-(c), parameterised by the
-    /// round's active users and their encrypted inverses (aligned position for
-    /// position) as distributed to the silos. When `dropped` is given, the marked
-    /// silos' cells (deltas and noise) are excluded from the streaming fold — their
-    /// reports never reach the server. When `cached` is given (the cross-round cache
-    /// path), per-user fixed-base tables anchor to the round-1 base ciphertexts, so
-    /// they survive re-randomisation and are reused across rounds.
-    #[allow(clippy::too_many_arguments)]
-    fn weighting_round_with_inverses(
-        &self,
-        clipped_deltas: &[Vec<Vec<f64>>],
-        noises: &[Vec<f64>],
-        active: &[u32],
-        encrypted_inverses: &[Ciphertext],
-        dim: usize,
-        dropped: Option<&[bool]>,
-        cached: Option<&CachedRoundState>,
-    ) -> (Vec<f64>, RoundTimings) {
-        let (totals, silo_weighting) = self.fold_round_totals(
-            clipped_deltas,
-            noises,
-            active,
-            encrypted_inverses,
-            dim,
-            dropped,
-            cached,
-        );
-        let (out, aggregation) = self.decrypt_totals(&totals);
-        (out, RoundTimings { server_encryption: Duration::ZERO, silo_weighting, aggregation })
+    /// Checks one round's input shapes against the setup and returns the model
+    /// dimension.
+    fn check_round_shape(&self, clipped_deltas: &[Vec<Vec<f64>>], noises: &[Vec<f64>]) -> usize {
+        assert_eq!(clipped_deltas.len(), self.num_silos, "one delta set per silo required");
+        assert_eq!(noises.len(), self.num_silos, "one noise vector per silo required");
+        let dim = noises[0].len();
+        assert!(dim > 0, "model dimension must be positive");
+        for silo in 0..self.num_silos {
+            assert_eq!(clipped_deltas[silo].len(), self.num_users, "per-user deltas required");
+            assert_eq!(noises[silo].len(), dim, "noise dimensionality mismatch");
+            for delta in clipped_deltas[silo].iter().filter(|d| !d.is_empty()) {
+                assert_eq!(delta.len(), dim, "delta dimensionality mismatch");
+            }
+        }
+        dim
     }
 
     /// The fold stage of one round — steps 2.(b) and the fused homomorphic cross-silo
@@ -1295,8 +835,9 @@ impl PrivateWeightingProtocol {
     /// wall-clock. This is the stage the round pipeline overlaps with the *previous*
     /// round's [`PrivateWeightingProtocol::decrypt_totals`]: the two touch disjoint
     /// key material (public vs secret) and disjoint state, and each is deterministic
-    /// in isolation, so overlap cannot change any bit of either.
-    #[allow(clippy::too_many_arguments)]
+    /// in isolation, so overlap cannot change any bit of either. When `dropped` is
+    /// given, the marked silos' cells (deltas and noise) are left out of the fold —
+    /// their reports never reach the server.
     fn fold_round_totals(
         &self,
         clipped_deltas: &[Vec<Vec<f64>>],
@@ -1305,20 +846,12 @@ impl PrivateWeightingProtocol {
         encrypted_inverses: &[Ciphertext],
         dim: usize,
         dropped: Option<&[bool]>,
-        cached: Option<&CachedRoundState>,
     ) -> (Vec<Ciphertext>, Duration) {
         let n = &self.paillier.public.n;
         let n_squared = &self.paillier.public.n_squared;
         let rt = &*self.runtime;
         debug_assert_eq!(active.len(), encrypted_inverses.len());
         let silo_span = trace::timed_span("protocol", "silo_weighting");
-        for silo in 0..self.num_silos {
-            assert_eq!(clipped_deltas[silo].len(), self.num_users, "per-user deltas required");
-            assert_eq!(noises[silo].len(), dim, "noise dimensionality mismatch");
-            for delta in clipped_deltas[silo].iter().filter(|d| !d.is_empty()) {
-                assert_eq!(delta.len(), dim, "delta dimensionality mismatch");
-            }
-        }
         // Per-silo participant lists: active users with records *and* a delta in this
         // silo, as (active position, user id) pairs. `active` is ascending, so each
         // list walks users in exactly the order the dense `0..|U|` scan did — the cell
@@ -1382,63 +915,20 @@ impl PrivateWeightingProtocol {
         let n_bits = n.bit_length();
         let evals: Vec<Option<InverseEval>> = rt.par_map_range(active.len(), |i| {
             (ctx_uses[i] > 0).then(|| {
-                let ct = &encrypted_inverses[i];
+                let base = &encrypted_inverses[i].0;
                 if generic {
-                    return InverseEval::Generic { base: ct.0.clone() };
-                }
-                if !tables_affordable || ctx_uses[i] < FIXED_BASE_TABLE_MIN_MULS {
-                    return InverseEval::Fused { base: ct.0.clone() };
-                }
-                match cached {
-                    // Un-cached path (OT rounds, bypass mode): table over the
-                    // distributed ciphertext itself, rebuilt every round.
-                    None => InverseEval::Table(Arc::new(FixedBaseCtx::new(
+                    InverseEval::Generic(base)
+                } else if !tables_affordable || ctx_uses[i] < FIXED_BASE_TABLE_MIN_MULS {
+                    InverseEval::Fused(base)
+                } else {
+                    InverseEval::Table(FixedBaseCtx::new(
                         Arc::clone(self.paillier.public.ctx_n2()),
-                        &ct.0,
+                        base,
                         n_bits,
-                    ))),
-                    // Cached path: the table anchors to the round-1 base, so a
-                    // re-randomised `current = base · h^rand_exp` evaluates as
-                    // `base_table[k] · h_table[rand_exp · k]` — same group element,
-                    // same bits, no table rebuild.
-                    Some(state) => {
-                        let user = &state.users[i];
-                        let table = user.table.clone().unwrap_or_else(|| {
-                            Arc::new(FixedBaseCtx::new(
-                                Arc::clone(self.paillier.public.ctx_n2()),
-                                &user.base.0,
-                                n_bits,
-                            ))
-                        });
-                        if user.rand_exp.is_zero() {
-                            InverseEval::Table(table)
-                        } else {
-                            InverseEval::Shifted {
-                                base_table: table,
-                                rand_exp: user.rand_exp.clone(),
-                                rerand: Arc::clone(&state.rerand),
-                            }
-                        }
-                    }
+                    ))
                 }
             })
         });
-        // Persist tables built this round so later rounds skip the precomputation.
-        if cached.is_some() {
-            let mut cache = self.cache.lock().expect("cache mutex poisoned");
-            for (i, eval) in evals.iter().enumerate() {
-                let table = match eval {
-                    Some(InverseEval::Table(t)) => t,
-                    Some(InverseEval::Shifted { base_table, .. }) => base_table,
-                    _ => continue,
-                };
-                if let Some(entry) = cache.entries.get_mut(&active[i]) {
-                    if entry.table.is_none() {
-                        entry.table = Some(Arc::clone(table));
-                    }
-                }
-            }
-        }
         // Steps 2.(b)+(c) silo side: every (silo, coordinate) cell is independent — the
         // Paillier `scalar_mul` per user inside it is the protocol's dominant cost
         // (Figures 10–11) — and ciphertext addition is exact modular arithmetic, so the
@@ -1475,17 +965,12 @@ impl PrivateWeightingProtocol {
                 let scalar = mod_mul(&self.codec.encode(delta[j]), &prefixes[silo][i], n);
                 let eval = evals[i].as_ref().expect("evaluator built for participating user");
                 let term = match eval {
-                    InverseEval::Generic { base } => mod_pow(base, &scalar, n_squared),
-                    InverseEval::Fused { base } => {
-                        fused.push((base.clone(), scalar));
+                    InverseEval::Generic(base) => mod_pow(base, &scalar, n_squared),
+                    InverseEval::Fused(base) => {
+                        fused.push(((*base).clone(), scalar));
                         continue;
                     }
                     InverseEval::Table(table) => table.pow(&scalar),
-                    InverseEval::Shifted { base_table, rand_exp, rerand } => mod_mul(
-                        &base_table.pow(&scalar),
-                        &rerand.pow_h(&rand_exp.mul(&scalar)),
-                        n_squared,
-                    ),
                 };
                 metrics::PAILLIER_SCALAR_MUL.inc();
                 acc = self.paillier.public.add(&acc, &Ciphertext(term));
@@ -1559,42 +1044,23 @@ impl PrivateWeightingProtocol {
         noises: &[Vec<f64>],
         sampled: Option<&SampleMask>,
     ) -> Vec<f64> {
-        let dim = noises[0].len();
-        let mut out = vec![0.0; dim];
-        for silo in 0..self.num_silos {
-            for (u, delta) in clipped_deltas[silo].iter().enumerate() {
-                let keep = sampled.is_none_or(|s| s.contains(u));
-                let n_su = self.silo_histograms[silo][u];
-                if !keep || n_su == 0 || delta.is_empty() || self.user_totals[u] == 0 {
-                    continue;
-                }
-                let w = n_su as f64 / self.user_totals[u] as f64;
-                for (o, d) in out.iter_mut().zip(delta.iter()) {
-                    *o += w * d;
-                }
-            }
-            for (o, z) in out.iter_mut().zip(noises[silo].iter()) {
-                *o += z;
-            }
-        }
-        out
+        self.reference_sum(clipped_deltas, noises, sampled, None)
     }
 
-    /// The plaintext value a faulted round is supposed to compute: the
-    /// [`PrivateWeightingProtocol::plaintext_reference`] sum restricted to silos *not*
-    /// marked in `dropped`, re-weighted by `|S| / |S_surviving|`.
-    pub fn plaintext_reference_faulted(
+    /// The [`PrivateWeightingProtocol::plaintext_reference`] sum; with `dropped`, it runs
+    /// over the silos not marked there and is re-weighted by `|S| / |S_surviving|` — the
+    /// value a faulted round is supposed to compute.
+    fn reference_sum(
         &self,
         clipped_deltas: &[Vec<Vec<f64>>],
         noises: &[Vec<f64>],
         sampled: Option<&SampleMask>,
-        dropped: &[bool],
+        dropped: Option<&[bool]>,
     ) -> Vec<f64> {
-        assert_eq!(dropped.len(), self.num_silos, "one dropout flag per silo required");
         let dim = noises[0].len();
         let mut out = vec![0.0; dim];
         for silo in 0..self.num_silos {
-            if dropped[silo] {
+            if dropped.is_some_and(|d| d[silo]) {
                 continue;
             }
             for (u, delta) in clipped_deltas[silo].iter().enumerate() {
@@ -1612,11 +1078,13 @@ impl PrivateWeightingProtocol {
                 *o += z;
             }
         }
-        let surviving = dropped.iter().filter(|&&d| !d).count().max(1);
-        let factor = self.num_silos as f64 / surviving as f64;
-        if factor != 1.0 {
-            for o in out.iter_mut() {
-                *o *= factor;
+        if let Some(dropped) = dropped {
+            let surviving = dropped.iter().filter(|&&d| !d).count().max(1);
+            let factor = self.num_silos as f64 / surviving as f64;
+            if factor != 1.0 {
+                for o in out.iter_mut() {
+                    *o *= factor;
+                }
             }
         }
         out
@@ -1665,18 +1133,35 @@ mod tests {
         (deltas, noises)
     }
 
+    /// One round run alone through the engine.
+    fn run_one(
+        protocol: &PrivateWeightingProtocol,
+        input: RoundInput<'_>,
+        rng: &mut StdRng,
+    ) -> RoundOutput {
+        protocol.run_rounds(&[input], rng).pop().expect("one output per round")
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn assert_close(secure: &[f64], reference: &[f64]) {
+        for (a, b) in secure.iter().zip(reference.iter()) {
+            assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
+        }
+    }
+
     #[test]
     fn protocol_matches_plaintext_aggregation() {
         let mut rng = StdRng::seed_from_u64(1);
         let histogram = small_histogram();
         let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
         let (deltas, noises) = deltas_and_noise(&histogram, 4, 2);
-        let (secure, timings) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
-        let reference = protocol.plaintext_reference(&deltas, &noises, None);
-        for (a, b) in secure.iter().zip(reference.iter()) {
-            assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
-        }
-        assert!(timings.total() > Duration::ZERO);
+        let out = run_one(&protocol, RoundInput::new(&deltas, &noises), &mut rng);
+        assert_close(&out.aggregate, &protocol.plaintext_reference(&deltas, &noises, None));
+        assert!(out.timings.total() > Duration::ZERO);
+        assert!(out.dropped.is_none());
     }
 
     #[test]
@@ -1686,11 +1171,10 @@ mod tests {
         let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
         let (deltas, noises) = deltas_and_noise(&histogram, 3, 4);
         let sampled = SampleMask::from_dense(vec![true, false, true, false]);
-        let (secure, _) = protocol.weighting_round(&deltas, &noises, Some(&sampled), &mut rng);
+        let input = RoundInput { sampled: Some(&sampled), ..RoundInput::new(&deltas, &noises) };
+        let secure = run_one(&protocol, input, &mut rng).aggregate;
         let reference = protocol.plaintext_reference(&deltas, &noises, Some(&sampled));
-        for (a, b) in secure.iter().zip(reference.iter()) {
-            assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
-        }
+        assert_close(&secure, &reference);
         // and it differs from the un-sampled aggregate
         let full_reference = protocol.plaintext_reference(&deltas, &noises, None);
         let diff: f64 =
@@ -1785,8 +1269,7 @@ mod tests {
             let cfg = ProtocolConfig { threads, ..test_config() };
             let protocol = PrivateWeightingProtocol::setup(&histogram, &cfg, &mut rng);
             let (deltas, noises) = deltas_and_noise(&histogram, 4, 42);
-            let (out, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
-            out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+            bits(&run_one(&protocol, RoundInput::new(&deltas, &noises), &mut rng).aggregate)
         };
         let sequential = run(1);
         assert_eq!(sequential, run(2));
@@ -1804,7 +1287,7 @@ mod tests {
             let sampling = ObliviousSubsampling::new(1, 2);
             let (out, flags, _) = protocol
                 .weighting_round_with_oblivious_subsampling(&deltas, &noises, &sampling, &mut rng);
-            (out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(), flags)
+            (bits(&out), flags)
         };
         let sequential = run(1);
         assert_eq!(sequential, run(2));
@@ -1844,15 +1327,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(51);
         let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
         let (deltas, noises) = deltas_and_noise(&histogram, 3, 52);
-        let round_rng = rng.clone();
-        let (plain, _) = protocol.weighting_round(&deltas, &noises, None, &mut round_rng.clone());
-        let (faulted, dropped, _) =
-            protocol.weighting_round_faulted(&deltas, &noises, None, 0, &mut round_rng.clone());
-        assert!(dropped.iter().all(|&d| !d));
-        assert_eq!(
-            plain.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            faulted.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        let plain = run_one(&protocol, RoundInput::new(&deltas, &noises), &mut rng.clone());
+        let input = RoundInput { faulted: Some(0), ..RoundInput::new(&deltas, &noises) };
+        let faulted = run_one(&protocol, input, &mut rng.clone());
+        assert_eq!(faulted.dropped, Some(vec![false; 3]));
+        assert_eq!(bits(&plain.aggregate), bits(&faulted.aggregate));
     }
 
     #[test]
@@ -1866,15 +1345,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(53);
         let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
         let (deltas, noises) = deltas_and_noise(&histogram, 4, 54);
-        let round_rng = rng.clone();
-        let (faulted, dropped, _) =
-            protocol.weighting_round_faulted(&deltas, &noises, None, 3, &mut round_rng.clone());
+        let input = RoundInput { faulted: Some(3), ..RoundInput::new(&deltas, &noises) };
+        let out = run_one(&protocol, input, &mut rng.clone());
+        let (faulted, dropped) = (out.aggregate, out.dropped.expect("faulted round"));
         assert_eq!(dropped.iter().filter(|&&d| d).count(), 1, "0.4 of 3 silos rounds to one");
 
-        let reference = protocol.plaintext_reference_faulted(&deltas, &noises, None, &dropped);
-        for (a, b) in faulted.iter().zip(reference.iter()) {
-            assert!((a - b).abs() < 1e-6, "faulted {a} vs surviving reference {b}");
-        }
+        let reference = protocol.reference_sum(&deltas, &noises, None, Some(&dropped));
+        assert_close(&faulted, &reference);
         // And the re-weighted aggregate genuinely differs from the full-participation one.
         let full = protocol.plaintext_reference(&deltas, &noises, None);
         let diff: f64 = reference.iter().zip(full.iter()).map(|(a, b)| (a - b).abs()).sum();
@@ -1889,12 +1366,12 @@ mod tests {
                 zeroed_noises[silo] = vec![0.0; 4];
             }
         }
-        let (zeroed, _) =
-            protocol.weighting_round(&zeroed_deltas, &zeroed_noises, None, &mut round_rng.clone());
+        let zeroed =
+            run_one(&protocol, RoundInput::new(&zeroed_deltas, &zeroed_noises), &mut rng.clone());
         let surviving = dropped.iter().filter(|&&d| !d).count();
         let factor = protocol.num_silos() as f64 / surviving as f64;
-        let rescaled: Vec<u64> = zeroed.iter().map(|v| (v * factor).to_bits()).collect();
-        assert_eq!(faulted.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), rescaled);
+        let rescaled: Vec<u64> = zeroed.aggregate.iter().map(|v| (v * factor).to_bits()).collect();
+        assert_eq!(bits(&faulted), rescaled);
     }
 
     #[test]
@@ -1912,131 +1389,13 @@ mod tests {
             let cfg = ProtocolConfig { threads, chunk_size, ..faulted_config(plan) };
             let protocol = PrivateWeightingProtocol::setup(&histogram, &cfg, &mut rng);
             let (deltas, noises) = deltas_and_noise(&histogram, 3, 56);
-            let (out, dropped, _) =
-                protocol.weighting_round_faulted(&deltas, &noises, None, 1, &mut rng);
-            (out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(), dropped)
+            let input = RoundInput { faulted: Some(1), ..RoundInput::new(&deltas, &noises) };
+            let out = run_one(&protocol, input, &mut rng);
+            (bits(&out.aggregate), out.dropped)
         };
         let sequential = run(1, usize::MAX);
         for (threads, chunk) in [(2, 1), (4, 7), (2, usize::MAX)] {
             assert_eq!(sequential, run(threads, chunk), "threads={threads} chunk={chunk}");
-        }
-    }
-
-    #[test]
-    fn cached_rounds_match_fresh_encryption_rounds_bitwise() {
-        // Four rounds of the same setup, identical caller RNG streams: the cached
-        // protocol re-randomises rounds 2..4 while the bypass instance re-encrypts
-        // every round, and the decrypted aggregates must agree bit for bit.
-        if fresh_encrypt_forced() {
-            return; // ULDP_FRESH_ENCRYPT=1 turns the cached run into a second bypass run
-        }
-        let histogram = small_histogram();
-        let run = |fresh_encrypt: bool| {
-            let mut rng = StdRng::seed_from_u64(91);
-            let cfg = ProtocolConfig { fresh_encrypt, ..test_config() };
-            let protocol = PrivateWeightingProtocol::setup(&histogram, &cfg, &mut rng);
-            let mut rounds = Vec::new();
-            let mut stats = Vec::new();
-            for round in 0..4u64 {
-                let (deltas, noises) = deltas_and_noise(&histogram, 4, 92 + round);
-                let (out, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
-                rounds.push(out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>());
-                stats.push(protocol.round_cache_stats());
-            }
-            (rounds, stats)
-        };
-        let (cached_rounds, cached_stats) = run(false);
-        let (fresh_rounds, fresh_stats) = run(true);
-        assert_eq!(cached_rounds, fresh_rounds, "aggregates must not depend on the cache");
-        // Cached: round 1 encrypts all 4 users, rounds 2..4 re-randomise all 4.
-        assert_eq!(cached_stats, vec![(4, 0), (0, 4), (0, 4), (0, 4)]);
-        // Bypass: every round encrypts everything.
-        assert_eq!(fresh_stats, vec![(4, 0); 4]);
-        // Every cached round still matches its plaintext reference.
-        let mut check_rng = StdRng::seed_from_u64(91);
-        let cfg = ProtocolConfig { ..test_config() };
-        let protocol = PrivateWeightingProtocol::setup(&histogram, &cfg, &mut check_rng);
-        for round in 0..4u64 {
-            let (deltas, noises) = deltas_and_noise(&histogram, 4, 92 + round);
-            let (out, _) = protocol.weighting_round(&deltas, &noises, None, &mut check_rng);
-            let reference = protocol.plaintext_reference(&deltas, &noises, None);
-            for (a, b) in out.iter().zip(reference.iter()) {
-                assert!((a - b).abs() < 1e-6, "round {round}: secure {a} vs plaintext {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn mask_change_reencrypts_exactly_the_changed_users() {
-        if fresh_encrypt_forced() {
-            return; // stats are trivially (4, 0) in bypass mode
-        }
-        let histogram = small_histogram();
-        let mut rng = StdRng::seed_from_u64(95);
-        let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
-        let (deltas, noises) = deltas_and_noise(&histogram, 3, 96);
-        let all = SampleMask::from_dense(vec![true; 4]);
-        let half = SampleMask::from_dense(vec![true, false, true, false]);
-
-        let _ = protocol.weighting_round(&deltas, &noises, Some(&all), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (4, 0), "first round encrypts everyone");
-        let _ = protocol.weighting_round(&deltas, &noises, Some(&all), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (0, 4), "unchanged mask reuses everyone");
-
-        // Users 1 and 3 flip to unsampled: exactly those two re-encrypt (as zero), the
-        // other two re-randomise — and the round still matches its reference.
-        let (out, _) = protocol.weighting_round(&deltas, &noises, Some(&half), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (2, 2), "only flipped users re-encrypt");
-        let reference = protocol.plaintext_reference(&deltas, &noises, Some(&half));
-        for (a, b) in out.iter().zip(reference.iter()) {
-            assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
-        }
-
-        // Flipping back re-encrypts the same two users again.
-        let (out, _) = protocol.weighting_round(&deltas, &noises, Some(&all), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (2, 2), "flip-back re-encrypts the pair");
-        let reference = protocol.plaintext_reference(&deltas, &noises, Some(&all));
-        for (a, b) in out.iter().zip(reference.iter()) {
-            assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
-        }
-
-        // reset_round_cache drops everything: the next round is fully fresh.
-        protocol.reset_round_cache();
-        let _ = protocol.weighting_round(&deltas, &noises, Some(&all), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (4, 0), "reset forces full re-encryption");
-    }
-
-    #[test]
-    fn dropout_invalidates_exactly_the_affected_users_entries() {
-        // Same plan/round as dropout_reweights_surviving_homomorphic_sum_exactly: round
-        // 3 drops exactly one of the three silos.
-        if fresh_encrypt_forced() {
-            return; // stats are trivially (4, 0) in bypass mode
-        }
-        let histogram = small_histogram();
-        let plan = FaultPlan { dropout_fraction: 0.4, seed: 77, ..FaultPlan::none() };
-        let mut rng = StdRng::seed_from_u64(97);
-        let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
-        let (deltas, noises) = deltas_and_noise(&histogram, 4, 98);
-
-        let _ = protocol.weighting_round(&deltas, &noises, None, &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (4, 0));
-        // The faulted round itself is served entirely from cache (encryption happens
-        // before the dropout)…
-        let (_, dropped, _) = protocol.weighting_round_faulted(&deltas, &noises, None, 3, &mut rng);
-        assert_eq!(dropped.iter().filter(|&&d| d).count(), 1, "0.4 of 3 silos rounds to one");
-        assert_eq!(protocol.round_cache_stats(), (0, 4));
-        // …and afterwards exactly the users with records in the dropped silo are
-        // invalidated, so the next round freshly re-encrypts them alone.
-        let affected = (0..protocol.num_users())
-            .filter(|&u| dropped.iter().enumerate().any(|(s, &d)| d && histogram[s][u] > 0))
-            .count();
-        assert!(affected > 0 && affected < 4, "the plan must split the users");
-        let (out, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (affected, 4 - affected));
-        let reference = protocol.plaintext_reference(&deltas, &noises, None);
-        for (a, b) in out.iter().zip(reference.iter()) {
-            assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
         }
     }
 
@@ -2047,21 +1406,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(57);
         let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
         let (deltas, noises) = deltas_and_noise(&histogram, 3, 58);
-        let round_rng = rng.clone();
-        let (plain, plain_timings) =
-            protocol.weighting_round(&deltas, &noises, None, &mut round_rng.clone());
-        let (delayed, dropped, delayed_timings) =
-            protocol.weighting_round_faulted(&deltas, &noises, None, 0, &mut round_rng.clone());
-        assert!(dropped.iter().all(|&d| !d));
+        let plain = run_one(&protocol, RoundInput::new(&deltas, &noises), &mut rng.clone());
+        let input = RoundInput { faulted: Some(0), ..RoundInput::new(&deltas, &noises) };
+        let delayed = run_one(&protocol, input, &mut rng.clone());
+        assert_eq!(delayed.dropped, Some(vec![false; 3]));
         assert_eq!(
-            plain.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            delayed.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            bits(&plain.aggregate),
+            bits(&delayed.aggregate),
             "stragglers must not change the aggregate"
         );
         // All three silos straggle by 40 ms each on top of the real fold time.
         assert!(
-            delayed_timings.silo_weighting >= plain_timings.silo_weighting
-                && delayed_timings.silo_weighting >= Duration::from_millis(120),
+            delayed.timings.silo_weighting >= Duration::from_millis(120),
             "delayed round must account 3 × 40 ms of straggler lateness"
         );
     }
@@ -2076,73 +1432,57 @@ mod tests {
 
     #[test]
     fn sparse_and_dense_masks_agree_bitwise_across_rounds() {
-        // The tentpole determinism oracle at unit scale: the same multi-round run under
-        // the sparse index-list mask and under its densified copy must produce
-        // bit-identical aggregates (cross-round cache interplay included), and both
-        // must match the plaintext reference.
+        // The same multi-round run under the sparse index-list mask and under its
+        // densified copy must produce bit-identical aggregates, and both must match the
+        // plaintext reference.
         let histogram = wide_histogram();
         let mask = SampleMask::from_sorted_indices(13, vec![2, 7, 11]);
+        let data: Vec<_> =
+            (0..3u64).map(|round| deltas_and_noise(&histogram, 3, 62 + round)).collect();
         let run = |mask: &SampleMask| {
             let mut rng = StdRng::seed_from_u64(61);
             let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
-            let mut rounds = Vec::new();
-            for round in 0..3u64 {
-                let (deltas, noises) = deltas_and_noise(&histogram, 3, 62 + round);
-                let (out, _) = protocol.weighting_round(&deltas, &noises, Some(mask), &mut rng);
-                rounds.push(out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>());
+            let inputs: Vec<RoundInput<'_>> = data
+                .iter()
+                .map(|(deltas, noises)| RoundInput {
+                    sampled: Some(mask),
+                    ..RoundInput::new(deltas, noises)
+                })
+                .collect();
+            let outputs = protocol.run_rounds(&inputs, &mut rng);
+            for ((deltas, noises), out) in data.iter().zip(&outputs) {
+                let reference = protocol.plaintext_reference(deltas, noises, Some(mask));
+                assert_close(&out.aggregate, &reference);
             }
-            rounds
+            outputs.iter().map(|o| bits(&o.aggregate)).collect::<Vec<_>>()
         };
-        let sparse_rounds = run(&mask);
-        assert_eq!(sparse_rounds, run(&mask.densified()), "mask layout must not change bits");
-        let mut rng = StdRng::seed_from_u64(61);
-        let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
-        for round in 0..3u64 {
-            let (deltas, noises) = deltas_and_noise(&histogram, 3, 62 + round);
-            let (out, _) = protocol.weighting_round(&deltas, &noises, Some(&mask), &mut rng);
-            let reference = protocol.plaintext_reference(&deltas, &noises, Some(&mask));
-            for (a, b) in out.iter().zip(reference.iter()) {
-                assert!((a - b).abs() < 1e-6, "round {round}: secure {a} vs plaintext {b}");
-            }
-        }
+        assert_eq!(run(&mask), run(&mask.densified()), "mask layout must not change bits");
     }
 
     #[test]
     fn sparse_rounds_materialise_only_sampled_state() {
-        if fresh_encrypt_forced() || crate::sampling::dense_mask_forced() {
-            return; // both bypass knobs deliberately change the stats pinned below
+        if crate::sampling::dense_mask_forced() {
+            return; // the bypass knob deliberately makes every user active
         }
         let histogram = wide_histogram();
         let mut rng = StdRng::seed_from_u64(71);
         let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
         let (deltas, noises) = deltas_and_noise(&histogram, 3, 72);
+        // Only the sampled users with records get a ciphertext — user 11 holds no
+        // records and costs nothing — and a different sample swaps the set wholesale.
         let mask = SampleMask::from_sorted_indices(13, vec![2, 7, 11]);
-        assert!(mask.is_sparse());
-
-        // Round 1: only the sampled users with records encrypt — user 11 holds no
-        // records and costs neither a ciphertext nor a cache entry.
-        let _ = protocol.weighting_round(&deltas, &noises, Some(&mask), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (2, 0));
-        assert_eq!(protocol.cached_entry_count(), 2);
-        // Round 2: both served from cache.
-        let _ = protocol.weighting_round(&deltas, &noises, Some(&mask), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (0, 2));
-
-        // A different sample: newcomers encrypt fresh; leavers keep their lazy entries
-        // (their cached plaintext is still the real inverse)…
         let other = SampleMask::from_sorted_indices(13, vec![0, 4]);
-        assert!(other.is_sparse());
-        let _ = protocol.weighting_round(&deltas, &noises, Some(&other), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (2, 0));
-        assert_eq!(protocol.cached_entry_count(), 4);
-        // …so re-entering users re-randomise instead of re-encrypting.
-        let (out, _) = protocol.weighting_round(&deltas, &noises, Some(&mask), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (0, 2));
-        let reference = protocol.plaintext_reference(&deltas, &noises, Some(&mask));
-        for (a, b) in out.iter().zip(reference.iter()) {
-            assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
+        for (mask, active) in [(&mask, vec![2, 7]), (&other, vec![0, 4]), (&mask, vec![2, 7])] {
+            assert!(mask.is_sparse());
+            assert_eq!(protocol.active_users(Some(mask)), active);
+            let input = RoundInput { sampled: Some(mask), ..RoundInput::new(&deltas, &noises) };
+            let out = run_one(&protocol, input, &mut rng);
+            assert_close(
+                &out.aggregate,
+                &protocol.plaintext_reference(&deltas, &noises, Some(mask)),
+            );
         }
-        assert!(protocol.cached_state_bytes() > 0);
+        assert_eq!(protocol.active_users(None).len(), 13, "no mask keeps every user");
     }
 
     #[test]
@@ -2160,10 +1500,7 @@ mod tests {
             let inputs: Vec<RoundInput<'_>> =
                 (0..4).map(|_| RoundInput::new(&deltas, &noises)).collect();
             let outputs = protocol.run_rounds_with_depth(&inputs, depth, &mut rng);
-            outputs
-                .iter()
-                .map(|o| o.aggregate.iter().map(|v| v.to_bits()).collect::<Vec<u64>>())
-                .collect::<Vec<_>>()
+            outputs.iter().map(|o| bits(&o.aggregate)).collect::<Vec<_>>()
         };
         let sequential = run(1, usize::MAX, 0);
         for (threads, chunk) in [(1, usize::MAX), (3, 1), (4, 5)] {
@@ -2178,77 +1515,80 @@ mod tests {
     }
 
     #[test]
-    fn faulted_replay_drains_the_pipeline_and_invalidates_exactly_the_affected_entries() {
-        // A mid-replay dropout must (a) leave every aggregate and dropout mask
-        // bit-identical to the sequential loop and (b) invalidate exactly the users
-        // with records in the dropped silo — visible as the next round's fresh count —
-        // which requires the drain: an in-flight later round must not race the
-        // invalidation.
-        if fresh_encrypt_forced() {
-            return; // stats are trivially (4, 0) in bypass mode
-        }
+    fn faulted_replay_matches_every_depth_and_rounds_run_alone() {
+        // A dropout in the middle of a replay needs no drain: every aggregate and
+        // dropout mask is the same at depths 1–3 as at depth 0, and each round equals
+        // the same round run alone from the same caller-RNG state — rounds share no
+        // state, so running them alone and in reverse order changes no bit.
         let histogram = small_histogram();
-        // Same plan as dropout_invalidates_exactly_the_affected_users_entries: round 3
-        // drops exactly one of the three silos; other rounds draw empty fault sets.
+        // Round 3 of this plan drops exactly one of the three silos; the other rounds
+        // draw empty fault sets.
         let plan = FaultPlan { dropout_fraction: 0.4, seed: 77, ..FaultPlan::none() };
         let (deltas, noises) = deltas_and_noise(&histogram, 4, 104);
-        let run = |depth: usize| {
+        let inputs: Vec<RoundInput<'_>> = (0..5)
+            .map(|t| RoundInput {
+                faulted: (t == 3).then_some(3),
+                ..RoundInput::new(&deltas, &noises)
+            })
+            .collect();
+        let fingerprint = |o: &RoundOutput| (bits(&o.aggregate), o.dropped.clone());
+        let setup = || {
             let mut rng = StdRng::seed_from_u64(103);
             let protocol =
                 PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
-            // Only round index 3 runs under the plan (which drops one silo there); the
-            // rounds around it stay fault-free and overlap across the drain.
-            let inputs: Vec<RoundInput<'_>> = (0..5)
-                .map(|t| RoundInput {
-                    faulted: (t == 3).then_some(3),
-                    ..RoundInput::new(&deltas, &noises)
-                })
-                .collect();
-            let outputs = protocol.run_rounds_with_depth(&inputs, depth, &mut rng);
-            let stats = protocol.round_cache_stats();
-            let fingerprints = outputs
-                .iter()
-                .map(|o| {
-                    (
-                        o.aggregate.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(),
-                        o.dropped.clone(),
-                    )
-                })
-                .collect::<Vec<_>>();
-            (fingerprints, stats)
+            (protocol, rng)
         };
-        let (sequential, seq_stats) = run(0);
-        let dropped_at_3 = sequential[3].1.as_ref().expect("faulted round reports a mask").clone();
+        let run = |depth: usize| {
+            let (protocol, mut rng) = setup();
+            let outputs = protocol.run_rounds_with_depth(&inputs, depth, &mut rng);
+            outputs.iter().map(fingerprint).collect::<Vec<_>>()
+        };
+        let sequential = run(0);
+        let dropped_at_3 = sequential[3].1.as_ref().expect("faulted round reports a mask");
         assert_eq!(dropped_at_3.iter().filter(|&&d| d).count(), 1, "round 3 drops one silo");
+        assert!(sequential.iter().enumerate().all(|(t, fp)| fp.1.is_some() == (t == 3)));
         for depth in [1, 2, 3] {
-            let (pipelined, pipe_stats) = run(depth);
-            assert_eq!(sequential, pipelined, "depth={depth}");
-            assert_eq!(seq_stats, pipe_stats, "depth={depth}");
+            assert_eq!(sequential, run(depth), "depth={depth}");
         }
-        // Round 4 (the one after the dropout) freshly re-encrypts exactly the affected
-        // users; the rest re-randomise — the invalidation landed, and landed once.
-        let affected = (0..4)
-            .filter(|&u| dropped_at_3.iter().enumerate().any(|(s, &d)| d && histogram[s][u] > 0))
-            .count();
-        assert!(affected > 0 && affected < 4, "the plan must split the users");
-        assert_eq!(seq_stats, (affected, 4 - affected));
+
+        // Each round consumes exactly one 256-bit seed from the caller's RNG, so round
+        // t's starting state is the post-setup state advanced by t seeds.
+        let (protocol, start) = setup();
+        for t in (0..inputs.len()).rev() {
+            let mut rng = start.clone();
+            for _ in 0..t {
+                let _ = seeding::wide_seed_from_rng(&mut rng);
+            }
+            let alone = protocol.run_rounds(&inputs[t..=t], &mut rng);
+            assert_eq!(fingerprint(&alone[0]), sequential[t], "round {t} run alone");
+        }
     }
 
     #[test]
     fn single_round_and_depth_zero_replays_take_the_sequential_path() {
-        // Replays too short to overlap fall back to the sequential loop outright; the
-        // outputs still match the per-round entry point exactly.
+        // Replays too short to overlap run the depth-0 loop outright, with the same
+        // outputs.
         let histogram = small_histogram();
         let (deltas, noises) = deltas_and_noise(&histogram, 3, 106);
         let mut rng = StdRng::seed_from_u64(105);
         let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
         let inputs = [RoundInput::new(&deltas, &noises)];
         let via_replay = protocol.run_rounds_with_depth(&inputs, 3, &mut rng.clone());
-        let (direct, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
-        assert_eq!(
-            via_replay[0].aggregate.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(),
-            direct.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
-        );
+        let direct = protocol.run_rounds_with_depth(&inputs, 0, &mut rng);
+        assert_eq!(bits(&via_replay[0].aggregate), bits(&direct[0].aggregate));
         assert!(via_replay[0].dropped.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "one noise vector per silo required")]
+    fn a_malformed_round_mid_replay_panics_instead_of_deadlocking() {
+        // The bad round panics on the producer side while the decrypt stage waits for
+        // more work; the pipeline must close its queue so the panic can propagate.
+        let histogram = small_histogram();
+        let (deltas, noises) = deltas_and_noise(&histogram, 3, 108);
+        let mut rng = StdRng::seed_from_u64(107);
+        let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
+        let inputs = [RoundInput::new(&deltas, &noises), RoundInput::new(&deltas, &noises[..1])];
+        let _ = protocol.run_rounds_with_depth(&inputs, 2, &mut rng);
     }
 }

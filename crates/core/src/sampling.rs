@@ -18,7 +18,7 @@
 //! sparse sorted `Vec<u32>` below [`DENSE_THRESHOLD_NUM`]`/`[`DENSE_THRESHOLD_DEN`]
 //! sampled fraction, dense `Vec<bool>` above (where a bitmap walk is cheaper and the
 //! sparse path saves nothing). The `ULDP_DENSE_MASK=1` environment knob (read once per
-//! process, mirroring `ULDP_FRESH_ENCRYPT`) forces the dense representation everywhere
+//! process, mirroring `ULDP_GENERIC_MODPOW`) forces the dense representation everywhere
 //! so CI can diff sparse-vs-dense aggregates bit for bit — the two representations are
 //! semantically identical ([`PartialEq`] compares the sampled *set*, not the layout)
 //! and every consumer must produce bitwise-identical output under either.
@@ -38,7 +38,7 @@ const DENSE_THRESHOLD_DEN: usize = 4;
 /// forcing [`SampleMask`] to always use the dense `Vec<bool>` representation (read once
 /// per process).
 ///
-/// This is a verification knob, mirroring `ULDP_FRESH_ENCRYPT`: CI runs the population
+/// This is a verification knob, mirroring `ULDP_GENERIC_MODPOW`: CI runs the population
 /// smoke binary once sparse and once dense and diffs the AGG/MRD fingerprints bit for
 /// bit, so any divergence between the two layouts fails loudly.
 pub fn dense_mask_forced() -> bool {

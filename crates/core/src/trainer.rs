@@ -96,12 +96,6 @@ pub struct Trainer {
     accountant: Accountant,
     weights: WeightMatrix,
     contribution_flags: Option<Vec<bool>>,
-    /// The user-sampling mask currently in force (only with `user_sampling < 1.0`).
-    /// Held for [`FlConfig::resample_every`] consecutive rounds before being redrawn,
-    /// which keeps Protocol 1's cross-round ciphertext cache hot between redraws.
-    /// Drawn by inversion-based Poisson sampling ([`SampleMask::poisson`]) — `O(q·|U|)`
-    /// RNG draws and memory, not one Bernoulli trial per user.
-    cached_mask: Option<SampleMask>,
     rng: StdRng,
     runtime: Arc<Runtime>,
 }
@@ -146,17 +140,7 @@ impl Trainer {
         let accountant = Accountant::new(privacy);
         let rng = StdRng::seed_from_u64(config.seed);
         let runtime = Runtime::handle(config.threads);
-        Trainer {
-            config,
-            dataset,
-            model,
-            accountant,
-            weights,
-            contribution_flags,
-            cached_mask: None,
-            rng,
-            runtime,
-        }
+        Trainer { config, dataset, model, accountant, weights, contribution_flags, rng, runtime }
     }
 
     /// The configuration used by this trainer.
@@ -217,25 +201,14 @@ impl Trainer {
             }
             Method::UldpAvg { .. } | Method::UldpSgd { .. } => {
                 let q = self.config.user_sampling;
-                let effective_q = if q < 1.0 {
-                    // Redraw the mask on its schedule (`resample_every`, default: every
-                    // round); between redraws the held mask is reused verbatim, so the
-                    // secure path's per-user plaintexts — and with them Protocol 1's
-                    // ciphertext cache — stay unchanged. The draw walks geometric gaps
-                    // (one uniform per *sampled* user), so a sparse round over a large
-                    // population never pays a per-user Bernoulli pass.
-                    if self.cached_mask.is_none()
-                        || round.is_multiple_of(self.config.resample_every)
-                    {
-                        self.cached_mask =
-                            Some(SampleMask::poisson(&mut self.rng, self.dataset.num_users, q));
-                    }
-                    q
-                } else {
-                    self.cached_mask = None;
-                    1.0
-                };
-                let mask = self.cached_mask.as_ref();
+                // A fresh user-level Poisson sample every round, independent of earlier
+                // rounds as the accountant assumes. The draw walks geometric gaps (one
+                // uniform per *sampled* user), so a sparse round over a large population
+                // never pays a per-user Bernoulli pass.
+                let mask = (q < 1.0)
+                    .then(|| SampleMask::poisson(&mut self.rng, self.dataset.num_users, q));
+                let mask = mask.as_ref();
+                let effective_q = if mask.is_some() { q } else { 1.0 };
                 if matches!(self.config.method, Method::UldpAvg { .. }) {
                     algorithms::uldp_avg::run_round(
                         &rt,
@@ -495,26 +468,6 @@ mod tests {
         let csv = history.to_csv();
         assert!(csv.starts_with("round,accuracy,loss,c_index,epsilon\n"));
         assert_eq!(csv.lines().count(), 1 + history.rounds.len());
-    }
-
-    #[test]
-    fn resample_every_holds_the_sampling_mask_between_redraws() {
-        let dataset = tiny_federation(2, 12, 60);
-        let method = Method::UldpAvg { weighting: WeightingStrategy::Uniform };
-        let mut cfg = quick_config(method);
-        cfg.user_sampling = 0.5;
-        cfg.resample_every = 2;
-        cfg.rounds = 4;
-        let mut trainer = Trainer::new(cfg, dataset, tiny_model());
-        trainer.step(0);
-        let mask0 = trainer.cached_mask.clone().expect("round 0 draws a mask");
-        trainer.step(1);
-        assert_eq!(trainer.cached_mask, Some(mask0.clone()), "round 1 reuses the round-0 mask");
-        trainer.step(2);
-        let mask2 = trainer.cached_mask.clone().expect("round 2 redraws");
-        assert_ne!(mask2, mask0, "the seeded redraw at round 2 produces a fresh mask");
-        trainer.step(3);
-        assert_eq!(trainer.cached_mask, Some(mask2), "round 3 reuses the round-2 mask");
     }
 
     #[test]

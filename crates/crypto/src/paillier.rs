@@ -207,85 +207,6 @@ impl ScalarMulCtx {
     }
 }
 
-/// Digit width of the [`RerandCtx`] table. One table serves every re-randomisation of
-/// a whole federation across all rounds, so it affords a wider digit (fewer
-/// multiplications per exponentiation) than the per-base [`FixedBaseCtx::new`] default.
-const RERAND_WINDOW: usize = 7;
-
-/// A reusable re-randomisation context produced by [`PaillierPublicKey::rerand_ctx`].
-///
-/// Samples one secret unit `ρ` at construction and holds `h = ρ^n mod n²` behind a
-/// wide fixed-base table. Each re-randomisation then multiplies by `h^t` for a fresh
-/// exponent `t ∈ [1, n)` — squaring-free table lookups instead of the full
-/// sliding-window `r^n` a fresh encryption (or [`PaillierPublicKey::rerandomise`])
-/// pays. `h^t = (ρ^t)^n` is an n-th power, i.e. an encryption of zero with randomiser
-/// `ρ^t mod n`, so decryption is unchanged exactly.
-///
-/// The obliviousness trade-off: randomisers are drawn from the subgroup `⟨ρ⟩` instead
-/// of all units mod `n`. Under the decisional composite residuosity assumption the
-/// re-randomised ciphertext remains indistinguishable from a fresh encryption (the
-/// standard fixed-generator re-randomisation argument); callers needing full-group
-/// randomisers use [`PaillierPublicKey::rerandomise`] instead.
-#[derive(Debug)]
-pub struct RerandCtx {
-    /// Plaintext modulus; exponents are drawn from `[1, n)`.
-    n: BigUint,
-    /// Ciphertext modulus `n²`.
-    n_squared: BigUint,
-    /// `h = ρ^n mod n²` in normal form (the generic-path base).
-    h: BigUint,
-    /// Fixed-base table for `h` (absent on the `ULDP_GENERIC_MODPOW=1` path).
-    table: Option<FixedBaseCtx>,
-}
-
-impl RerandCtx {
-    /// `h^t mod n²` — the n-th power a re-randomisation by exponent `t` multiplies in.
-    ///
-    /// The table covers exponents up to `2·|n| + 64` bits: enough for an accumulated
-    /// per-round exponent `Σ t` times a scalar `< n` across 2⁶⁴ rounds, which is what
-    /// lets Protocol 1's cross-round cache re-derive `c·h^(Σt)` powers from the
-    /// round-1 base without leaving the squaring-free path.
-    pub fn pow_h(&self, t: &BigUint) -> BigUint {
-        match &self.table {
-            Some(fixed) => fixed.pow(t),
-            None => mod_pow(&self.h, t, &self.n_squared),
-        }
-    }
-
-    /// Re-randomises `c` with a fresh exponent `t ∈ [1, n)`, returning `(c·h^t, t)`.
-    ///
-    /// The exponent is returned so callers can accumulate it: two successive
-    /// re-randomisations by `t₁`, `t₂` satisfy `c·h^(t₁+t₂)` exactly, which Protocol
-    /// 1's `RoundCryptoCache` uses to relate every round's ciphertext to its round-1
-    /// base.
-    pub fn rerandomise<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        c: &Ciphertext,
-    ) -> (Ciphertext, BigUint) {
-        uldp_telemetry::metrics::PAILLIER_RERANDOMISE.inc();
-        let t = loop {
-            let t = BigUint::random_below(rng, &self.n);
-            if !t.is_zero() {
-                break t;
-            }
-        };
-        (Ciphertext(mod_mul(&c.0, &self.pow_h(&t), &self.n_squared)), t)
-    }
-
-    /// Re-randomises a batch on the runtime's worker pool with the same deterministic
-    /// per-index seeding as [`PaillierPublicKey::encrypt_batch`], so the outputs are
-    /// bitwise-identical at any thread count.
-    pub fn rerandomise_batch(
-        &self,
-        rt: &Runtime,
-        seed: WideSeed,
-        cts: &[Ciphertext],
-    ) -> Vec<(Ciphertext, BigUint)> {
-        rt.par_map_wide_seeded(cts.len(), seed, |i, rng| self.rerandomise(rng, &cts[i]))
-    }
-}
-
 impl PaillierPublicKey {
     /// Builds a public key from the modulus `n` (caching `n²`; the Montgomery contexts
     /// are built lazily on first exponentiation and shared from then on).
@@ -359,24 +280,6 @@ impl PaillierPublicKey {
         cts: &[Ciphertext],
     ) -> Vec<Ciphertext> {
         rt.par_map_wide_seeded(cts.len(), seed, |i, rng| self.rerandomise(rng, &cts[i]))
-    }
-
-    /// Builds a [`RerandCtx`]: samples a secret unit `ρ`, computes `h = ρ^n mod n²`
-    /// and precomputes its wide fixed-base table, after which each re-randomisation is
-    /// squaring-free (see the [`RerandCtx`] docs for the subgroup caveat).
-    pub fn rerand_ctx<R: Rng + ?Sized>(&self, rng: &mut R) -> RerandCtx {
-        let rho = self.sample_unit(rng);
-        let h = if engine_disabled() {
-            mod_pow(&rho, &self.n, &self.n_squared)
-        } else {
-            self.ctx_n2().pow(&rho, &self.n)
-        };
-        // Covers Σt (64 rounds-bits of headroom) times a scalar < n; see RerandCtx::pow_h.
-        let max_bits = 2 * self.n.bit_length() + 64;
-        let table = (!engine_disabled()).then(|| {
-            FixedBaseCtx::with_window(Arc::clone(self.ctx_n2()), &h, max_bits, RERAND_WINDOW)
-        });
-        RerandCtx { n: self.n.clone(), n_squared: self.n_squared.clone(), h, table }
     }
 
     /// The encryption of zero with randomness one (useful as an additive identity).
@@ -461,7 +364,7 @@ impl PaillierPublicKey {
     ///
     /// This is the standalone batch form of the `scalar_mul` loop that dominates Protocol
     /// 1 step 2.(b); the protocol itself fuses that loop with scalar preparation and
-    /// accumulation per `(silo, coordinate)` cell (`uldp-core`'s `weighting_round`), so
+    /// accumulation per `(silo, coordinate)` cell (`uldp-core`'s round engine), so
     /// this API is for callers batching scalar multiplications outside the protocol.
     pub fn scalar_mul_batch(
         &self,
@@ -891,36 +794,6 @@ mod tests {
         for (i, (fresh, orig)) in seq.iter().zip(cts.iter()).enumerate() {
             assert_eq!(kp.secret.decrypt(fresh), BigUint::from_u64(i as u64));
             assert_ne!(fresh, orig, "index {i}");
-        }
-    }
-
-    #[test]
-    fn rerand_ctx_accumulates_exponents_exactly() {
-        let kp = keypair(256, 34);
-        let mut rng = StdRng::seed_from_u64(35);
-        let ctx = kp.public.rerand_ctx(&mut rng);
-        let m = BigUint::from_u64(777);
-        let c1 = kp.public.encrypt(&mut rng, &m);
-        let (c2, t1) = ctx.rerandomise(&mut rng, &c1);
-        let (c3, t2) = ctx.rerandomise(&mut rng, &c2);
-        for c in [&c2, &c3] {
-            assert_eq!(kp.secret.decrypt(c), m);
-            assert_ne!(c, &c1);
-        }
-        // The cache identity: successive re-randomisations compose additively in the
-        // exponent, c3 = c1·h^(t1+t2) — exact group arithmetic, so bitwise.
-        let total = t1.add(&t2);
-        assert_eq!(c3.0, mod_mul(&c1.0, &ctx.pow_h(&total), &kp.public.n_squared));
-        // pow_h is the schoolbook h^t (h = pow_h(1)), even past the table's digits.
-        let h = ctx.pow_h(&BigUint::one());
-        assert_eq!(ctx.pow_h(&total), mod_pow(&h, &total, &kp.public.n_squared));
-        // Batch form: deterministic in the seed, identical across thread counts.
-        let cts = vec![c1.clone(), c2.clone()];
-        let seq = ctx.rerandomise_batch(&Runtime::new(1), [1, 2, 3, 4], &cts);
-        let par = ctx.rerandomise_batch(&Runtime::new(4), [1, 2, 3, 4], &cts);
-        assert_eq!(seq, par);
-        for (fresh, _) in &seq {
-            assert_eq!(kp.secret.decrypt(fresh), m);
         }
     }
 

@@ -89,17 +89,6 @@ impl<T> Handoff<T> {
         }
     }
 
-    /// Dequeues the oldest item if one is ready, without blocking.
-    pub fn try_pop(&self) -> Option<(u64, T)> {
-        let mut state = self.state.lock().expect("handoff lock poisoned");
-        let entry = state.queue.pop_front();
-        drop(state);
-        if entry.is_some() {
-            self.not_full.notify_one();
-        }
-        entry
-    }
-
     /// Closes the queue: pending items stay poppable, new pushes are rejected, and
     /// blocked producers/consumers wake up. Idempotent.
     pub fn close(&self) {

@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use uldp_fl::core::{PrivateWeightingProtocol, ProtocolConfig};
+use uldp_fl::core::{PrivateWeightingProtocol, ProtocolConfig, RoundInput};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(3);
@@ -58,7 +58,8 @@ fn main() {
     let noises: Vec<Vec<f64>> =
         (0..num_silos).map(|_| (0..dim).map(|_| rng.gen_range(-0.01..0.01)).collect()).collect();
 
-    let (secure, timings) = protocol.weighting_round(&clipped_deltas, &noises, None, &mut rng);
+    let round = protocol.run_rounds(&[RoundInput::new(&clipped_deltas, &noises)], &mut rng);
+    let (secure, timings) = (&round[0].aggregate, round[0].timings);
     let reference = protocol.plaintext_reference(&clipped_deltas, &noises, None);
 
     println!("\nweighting round ({} parameters):", dim);

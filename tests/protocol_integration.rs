@@ -5,7 +5,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use uldp_fl::core::WeightMatrix;
-use uldp_fl::core::{PrivateWeightingProtocol, ProtocolConfig, SampleMask, WeightingStrategy};
+use uldp_fl::core::{
+    PrivateWeightingProtocol, ProtocolConfig, RoundInput, SampleMask, WeightingStrategy,
+};
 use uldp_fl::datasets::heart_disease::{self, HeartDiseaseConfig};
 use uldp_fl::datasets::Allocation;
 
@@ -37,6 +39,15 @@ fn random_deltas(
     (deltas, noises)
 }
 
+/// One round run alone through the protocol's round engine.
+fn run_round(
+    protocol: &PrivateWeightingProtocol,
+    input: RoundInput<'_>,
+    rng: &mut StdRng,
+) -> uldp_fl::core::RoundOutput {
+    protocol.run_rounds(&[input], rng).remove(0)
+}
+
 #[test]
 fn protocol_agrees_with_plaintext_on_a_real_histogram() {
     // Use the HeartDisease generator's histogram (zipf allocation) so the protocol is
@@ -54,7 +65,7 @@ fn protocol_agrees_with_plaintext_on_a_real_histogram() {
     let histogram = dataset.histogram();
     let protocol = PrivateWeightingProtocol::setup(&histogram, &protocol_config(), &mut rng);
     let (deltas, noises) = random_deltas(&histogram, 6, &mut rng);
-    let (secure, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+    let secure = run_round(&protocol, RoundInput::new(&deltas, &noises), &mut rng).aggregate;
     let plaintext = protocol.plaintext_reference(&deltas, &noises, None);
     for (a, b) in secure.iter().zip(plaintext.iter()) {
         assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
@@ -78,14 +89,14 @@ fn protocol_weights_match_record_proportional_weight_matrix() {
 #[test]
 fn protocol_rounds_are_repeatable_across_rounds() {
     // The same setup must serve multiple rounds and still agree with the plaintext
-    // reference each time — round 1 from fresh encryptions, later rounds from the
-    // cross-round cache's re-randomised ciphertexts.
+    // reference each time.
     let mut rng = StdRng::seed_from_u64(23);
     let histogram = vec![vec![2usize, 3, 1], vec![1, 0, 4]];
     let protocol = PrivateWeightingProtocol::setup(&histogram, &protocol_config(), &mut rng);
     for round in 0..3 {
         let (deltas, noises) = random_deltas(&histogram, 4, &mut rng);
-        let (secure, timings) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+        let out = run_round(&protocol, RoundInput::new(&deltas, &noises), &mut rng);
+        let (secure, timings) = (out.aggregate, out.timings);
         let plaintext = protocol.plaintext_reference(&deltas, &noises, None);
         for (a, b) in secure.iter().zip(plaintext.iter()) {
             assert!((a - b).abs() < 1e-6, "round {round}: {a} vs {b}");
@@ -102,7 +113,7 @@ fn protocol_handles_users_with_no_records() {
     let histogram = vec![vec![2usize, 0, 3], vec![1, 0, 1]];
     let protocol = PrivateWeightingProtocol::setup(&histogram, &protocol_config(), &mut rng);
     let (deltas, noises) = random_deltas(&histogram, 3, &mut rng);
-    let (secure, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+    let secure = run_round(&protocol, RoundInput::new(&deltas, &noises), &mut rng).aggregate;
     let plaintext = protocol.plaintext_reference(&deltas, &noises, None);
     for (a, b) in secure.iter().zip(plaintext.iter()) {
         assert!((a - b).abs() < 1e-6);
@@ -116,7 +127,8 @@ fn subsampled_protocol_round_matches_masked_plaintext() {
     let protocol = PrivateWeightingProtocol::setup(&histogram, &protocol_config(), &mut rng);
     let (deltas, noises) = random_deltas(&histogram, 5, &mut rng);
     let sampled = SampleMask::from_dense(vec![true, false, false, true]);
-    let (secure, _) = protocol.weighting_round(&deltas, &noises, Some(&sampled), &mut rng);
+    let input = RoundInput { sampled: Some(&sampled), ..RoundInput::new(&deltas, &noises) };
+    let secure = run_round(&protocol, input, &mut rng).aggregate;
     let plaintext = protocol.plaintext_reference(&deltas, &noises, Some(&sampled));
     for (a, b) in secure.iter().zip(plaintext.iter()) {
         assert!((a - b).abs() < 1e-6);

@@ -12,12 +12,21 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use uldp_fl::core::{
-    FlConfig, Method, PrivateWeightingProtocol, ProtocolConfig, SampleMask, Trainer,
+    FlConfig, Method, PrivateWeightingProtocol, ProtocolConfig, RoundInput, SampleMask, Trainer,
     TrainingHistory, WeightingStrategy,
 };
 use uldp_fl::datasets::creditcard::{self, CreditcardConfig};
 use uldp_fl::ml::LinearClassifier;
 use uldp_fl::runtime::Runtime;
+
+/// Runs one protocol round alone and returns its aggregate as raw bits.
+fn round_bits(
+    protocol: &PrivateWeightingProtocol,
+    input: RoundInput<'_>,
+    rng: &mut StdRng,
+) -> Vec<u64> {
+    protocol.run_rounds(&[input], rng)[0].aggregate.iter().map(|v| v.to_bits()).collect()
+}
 
 /// Collapses a history into a bit-exact fingerprint (parameters and metrics as raw bits).
 fn history_bits(h: &TrainingHistory) -> Vec<u64> {
@@ -171,8 +180,7 @@ fn protocol_round_is_bitwise_identical_across_threads_and_chunks() {
             .iter()
             .map(|_| (0..dim).map(|_| rng.gen_range(-0.01..0.01)).collect())
             .collect();
-        let (out, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
-        out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+        round_bits(&protocol, RoundInput::new(&deltas, &noises), &mut rng)
     };
     // Ciphertext accumulation is exact modular arithmetic, so the streamed cell fold
     // must reproduce the (1 thread, one-chunk) reference at every grid point.
@@ -190,9 +198,7 @@ fn sparse_and_dense_masks_agree_bitwise_across_threads_and_chunks() {
     // sampled keeps the mask below the ¼ density threshold (sparse index-list
     // layout), and `densified()` forces the dense flag layout of the same selection.
     // Every (threads, chunk) grid point must produce ONE bit pattern for both
-    // representations, across two rounds so the cross-round cache (fresh round 1,
-    // re-randomised round 2, lazily materialised under the sparse mask) is on the
-    // grid too.
+    // representations, across two rounds.
     let histogram: Vec<Vec<usize>> = vec![
         vec![1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1],
         vec![2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 0, 1],
@@ -230,8 +236,8 @@ fn sparse_and_dense_masks_agree_bitwise_across_threads_and_chunks() {
                 .iter()
                 .map(|_| (0..dim).map(|_| rng.gen_range(-0.01..0.01)).collect())
                 .collect();
-            let (agg, _) = protocol.weighting_round(&deltas, &noises, Some(mask), &mut rng);
-            out.extend(agg.iter().map(|v| v.to_bits()));
+            let input = RoundInput { sampled: Some(mask), ..RoundInput::new(&deltas, &noises) };
+            out.extend(round_bits(&protocol, input, &mut rng));
         }
         out
     };
@@ -264,14 +270,10 @@ fn swapping_the_runtime_after_setup_preserves_bits() {
     let deltas: Vec<Vec<Vec<f64>>> =
         histogram.iter().map(|row| row.iter().map(|_| vec![0.25, -0.5, 0.125]).collect()).collect();
     let noises = vec![vec![0.001, -0.002, 0.0005]; 2];
-    let round_rng = rng.clone();
-    let (a, _) = protocol.weighting_round(&deltas, &noises, None, &mut round_rng.clone());
+    let a = round_bits(&protocol, RoundInput::new(&deltas, &noises), &mut rng.clone());
     let protocol = protocol.with_runtime(Runtime::handle(3));
-    let (b, _) = protocol.weighting_round(&deltas, &noises, None, &mut round_rng.clone());
-    assert_eq!(
-        a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-    );
+    let b = round_bits(&protocol, RoundInput::new(&deltas, &noises), &mut rng.clone());
+    assert_eq!(a, b);
 }
 
 // Property test: random (threads, shards, chunk) grid points must reproduce the
@@ -372,8 +374,7 @@ proptest! {
                 .iter()
                 .map(|_| (0..dim).map(|_| rng.gen_range(-0.01..0.01)).collect())
                 .collect();
-            let (out, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
-            out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+            round_bits(&protocol, RoundInput::new(&deltas, &noises), &mut rng)
         };
         prop_assert_eq!(run(1, usize::MAX), run(3, chunk));
     }
